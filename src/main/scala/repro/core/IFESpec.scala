@@ -62,17 +62,21 @@ trait IFESpec {
     * indexes — or through AccessDWithDrops when differences were dropped).
     */
   final def recompute(node: Int, prevState: Int => Double): Double = {
-    var acc = aggZero
-    val it = view.inEdges(node)
-    while (it.hasNext) {
-      val (w, wt, l) = it.next()
+    val acc = new Aggregation(prevState)
+    view.visitIn(node, acc)
+    finish(acc.value, init(node))
+  }
+
+  /** Folds the in-edges `visitIn` hands it into `value`. */
+  private final class Aggregation(prevState: Int => Double) extends EdgeVisitor {
+    var value: Double = aggZero
+    def visit(w: Int, wt: Int, l: Byte): Unit = {
       val sv = prevState(w)
       if (sv != Queries.INF) {
         val c = contrib(w, sv, wt, l)
-        if (c != Queries.INF) acc = agg(acc, c)
+        if (c != Queries.INF) value = agg(value, c)
       }
     }
-    finish(acc, init(node))
   }
 }
 

@@ -1,8 +1,8 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.graph.EdgeUpdate
-import repro.util.{DiffList, MemoryModel}
+import repro.graph.{EdgeUpdate, EdgeVisitor, NodeVisitor}
+import repro.util.{DiffList, Frontier, IntBuffer, MemoryModel}
 
 /** DC^JOD with eager merging (paper §4–§5): the differential engine that
   * completely drops the Join operator's differences and keeps only
@@ -11,8 +11,8 @@ import repro.util.{DiffList, MemoryModel}
   * Representation (Appendix C):
   *  - per-node sorted list of (iteration, state) pairs ([[DiffList]]);
   *    iteration 0 (the initial state) is implicit and never stored;
-  *  - the frontier is a per-iteration set of nodes whose aggregation must
-  *    rerun;
+  *  - the frontier is a per-iteration bitset of nodes whose aggregation
+  *    must rerun, drained in ascending node order ([[Frontier]]);
   *  - the join input J^v_i is reconstructed on demand by reading each
   *    in-neighbour w's D^w_{i-1} (and the edge), exactly `spec.recompute`.
   *
@@ -40,7 +40,8 @@ final class Jod(
     val policy: DropPolicy = DropPolicy.KeepAll,
     val droppedVT: DroppedVT = null,
 ) {
-  import Queries.INF
+  require(spec.maxIters < (1 << 20),
+    s"maxIters ${spec.maxIters} does not fit the 20-bit iteration of the packed (node, iteration) keys")
 
   private val view = spec.view
   private val n = view.numNodes
@@ -61,10 +62,13 @@ final class Jod(
   lazy val perNodeRecomputes: Array[Long] = new Array[Long](n)
   var totalDiffsWritten: Long = 0L
 
-  // ---- per-batch transient state ----
+  // ---- per-batch transient state; all but the memo is reused across batches ----
   private var memo: mutable.LongMap[Double] = null
-  private var frontier: mutable.LongMap[mutable.HashSet[Int]] = null // iter -> nodes
-  private var scannedFrom: mutable.LongMap[Int] = null // node -> lowest i0 UB-scanned
+  private val frontier = new Frontier(n)
+  /** node -> lowest i0 UB-scanned this batch (Int.MaxValue: not scanned). */
+  private val scannedFrom: Array[Int] = Array.fill(n)(Int.MaxValue)
+  private val scanned = new IntBuffer // nodes whose scannedFrom is set
+  private val seeds = new IntBuffer
   private var maxScheduled: Int = 0
 
   private val canDrop = droppedVT != null && (policy ne DropPolicy.KeepAll)
@@ -84,25 +88,21 @@ final class Jod(
   /** The state of `node` at iteration `i` (clamped to the known horizon),
     * recomputing through dropped differences when necessary.
     */
-  def access(node: Int, i: Int): Double = accessImpl(node, i)._1
-
-  /** As `access`, but also reports whether the value was resolved through a
-    * (possibly) dropped difference — in which case the pre-batch value is
-    * unknowable and callers must treat the node as changed.
-    */
-  def accessDetailed(node: Int, i: Int): (Double, Boolean) = accessImpl(node, i)
-
-  private def accessImpl(node: Int, i: Int): (Double, Boolean) = {
-    if (i <= 0) return (spec.init(node), false)
-    val dl = diffs(node)
-    val gStar = dl.floorIter(i) // -1 if none; iteration 0 is implicit init
-    val stored = if (gStar < 0) spec.init(node) else dl.exactValue(gStar)
-    if (!canDrop) return (stored, false)
-    val hi = math.min(i, maxIterSeen)
-    val dStar = droppedVT.latestIn(node, math.max(gStar, 0), hi)
-    if (dStar < 0) (stored, false)
-    else (recomputeDropped(node, dStar), true)
+  def access(node: Int, i: Int): Double = {
+    val d = droppedAt(node, i)
+    if (d < 0) storedAt(node, i) else recomputeDropped(node, d)
   }
+
+  /** The state from the stored differences alone: latest g* <= i, or init. */
+  private def storedAt(node: Int, i: Int): Double =
+    if (i <= 0) spec.init(node) else diffs(node).valueAt(i, spec.init(node))
+
+  /** The latest (possibly) dropped iteration d* in (g*, i] that `access`
+    * must recompute through, or -1 when the stored state stands.
+    */
+  private def droppedAt(node: Int, i: Int): Int =
+    if (!canDrop || i <= 0) -1
+    else droppedVT.latestIn(node, math.max(diffs(node).floorIter(i), 0), math.min(i, maxIterSeen))
 
   /** Recompute the dropped difference for (node, d): rerun the aggregation
     * at iteration d from the in-neighbours' states at d-1 (which may
@@ -124,9 +124,26 @@ final class Jod(
 
   private def scheduleBasic(node: Int, i: Int): Unit = {
     if (i < 1 || i > iterCap) return
-    frontier.getOrElseUpdate(i.toLong, mutable.HashSet.empty[Int]) += node
+    frontier.add(i, node)
     if (i > maxScheduled) maxScheduled = i
   }
+
+  /** Schedule `node` at j + `shift` for each stored or dropped difference
+    * of `w` at an iteration j > `above`.
+    */
+  private def scheduleAtDiffs(node: Int, w: Int, above: Int, shift: Int): Unit = {
+    val dl = diffs(w)
+    var k = dl.floorIndex(above) + 1
+    while (k < dl.size) { scheduleBasic(node, dl.iterAt(k) + shift); k += 1 }
+    if (canDrop)
+      droppedVT.itersIn(w, above, maxIterSeen).foreach(j => scheduleBasic(node, j + shift))
+  }
+
+  // The in-neighbour half of the upper-bound scan, as one reusable visitor:
+  // scheduleWithUB sets the node and bound before each walk.
+  private var ubNode = 0
+  private var ubAbove = 0
+  private val ubScan: EdgeVisitor = (w, _, _) => scheduleAtDiffs(ubNode, w, ubAbove, 1)
 
   /** Schedule node at i0 and apply the upper-bound rule: re-inspect every
     * later timestamp where the node itself or any in-neighbour has a stored
@@ -136,21 +153,15 @@ final class Jod(
     */
   private def scheduleWithUB(node: Int, i0: Int): Unit = {
     scheduleBasic(node, i0)
-    val prev = scannedFrom.getOrElse(node.toLong, Int.MaxValue)
+    val prev = scannedFrom(node)
     if (i0 >= prev) return
-    scannedFrom(node.toLong) = i0
+    if (prev == Int.MaxValue) scanned.add(node)
+    scannedFrom(node) = i0
     // (i) own stored/dropped differences at j > i0
-    diffs(node).itersAbove(i0).foreach(j => scheduleBasic(node, j))
-    if (canDrop)
-      droppedVT.itersIn(node, i0, maxIterSeen).foreach(j => scheduleBasic(node, j))
+    scheduleAtDiffs(node, node, i0, 0)
     // (ii) in-neighbour differences at j ≥ i0-1 affect this node at j+1
-    val it = view.inEdges(node)
-    while (it.hasNext) {
-      val (w, _, _) = it.next()
-      diffs(w).itersAbove(i0 - 2).foreach(j => scheduleBasic(node, j + 1))
-      if (canDrop)
-        droppedVT.itersIn(w, i0 - 2, maxIterSeen).foreach(j => scheduleBasic(node, j + 1))
-    }
+    ubNode = node; ubAbove = i0 - 2
+    view.visitIn(node, ubScan)
   }
 
   // ------------------------------------------------------------------
@@ -196,30 +207,32 @@ final class Jod(
     */
   def applyBatch(batch: Seq[EdgeUpdate]): Unit = {
     memo = new mutable.LongMap[Double]()
-    frontier = new mutable.LongMap[mutable.HashSet[Int]]()
-    scannedFrom = new mutable.LongMap[Int]()
     maxScheduled = 0
 
-    val seeds = mutable.HashSet.empty[Int]
     batch.foreach { u =>
       // PageRank: an edge at u changes u's out-degree, hence u's
       // contribution to *all* its out-neighbours (old and new).
-      if (spec.edgeTouchesAllOutNeighbours)
-        view.touchedSrcs(u.src, u.dst, u.label).foreach(s => seeds ++= view.outNodes(s))
+      if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
       if (u.add) spec.view.graph.addEdge(u.src, u.dst, u.weight, u.label)
       else spec.view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
-      if (spec.edgeTouchesAllOutNeighbours)
-        view.touchedSrcs(u.src, u.dst, u.label).foreach(s => seeds ++= view.outNodes(s))
-      seeds ++= view.touchedDsts(u.src, u.dst, u.label)
+      if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
+      view.touchedDsts(u.src, u.dst, u.label).foreach(seeds.add)
     }
-    seeds.foreach(v => scheduleWithUB(v, 1)) // δE direct rule + upper bounds
+    // δE direct rule + upper bounds; a repeated seed finds itself scanned.
+    var k = 0
+    while (k < seeds.size) { scheduleWithUB(seeds(k), 1); k += 1 }
+    seeds.clear()
 
     var i = 1
     while (i <= maxScheduled && i <= iterCap) {
-      val set = frontier.remove(i.toLong).orNull
-      if (set != null) set.foreach { v =>
-        val (old, viaDrop) = accessDetailed(v, i)
-        val nv = spec.recompute(v, w => access(w, i - 1))
+      val prevLevel = i - 1
+      val prevState: Int => Double = w => access(w, prevLevel)
+      nextLevel = i + 1
+      var v = frontier.poll(i)
+      while (v >= 0) {
+        val dropped = droppedAt(v, i)
+        val old = if (dropped < 0) storedAt(v, i) else recomputeDropped(v, dropped)
+        val nv = spec.recompute(v, prevState)
         // Change detection. For stored representations, compare against the
         // stored value. When the old value resolves through a dropped
         // record, the record is self-maintaining (access recomputes the
@@ -232,19 +245,30 @@ final class Jod(
         // the dropped record itself, which its own scheduling handles —
         // this is what keeps full-drop cascades from never quiescing.
         val changed =
-          if (!viaDrop) !spec.same(nv, old)
-          else (canDrop && droppedVT.latestIn(v, i - 1, i) == i) ||
-            !spec.same(nv, access(v, i - 1))
+          if (dropped < 0) !spec.same(nv, old)
+          else droppedVT.latestIn(v, i - 1, i) == i || !spec.same(nv, access(v, i - 1))
         if (changed) {
           writeDiff(v, i, nv)
           // δD direct rule: out-neighbours rerun at the next iteration.
-          view.outNodes(v).foreach(x => scheduleWithUB(x, i + 1))
+          view.visitOutNodes(v, scheduleNext)
         }
+        v = frontier.poll(i)
       }
       i += 1
     }
-    memo = null; frontier = null; scannedFrom = null
+    k = 0
+    while (k < scanned.size) { scannedFrom(scanned(k)) = Int.MaxValue; k += 1 }
+    scanned.clear()
+    memo = null
   }
+
+  private val addSeed: NodeVisitor = v => seeds.add(v)
+  private def seedOutNodes(u: EdgeUpdate): Unit =
+    view.touchedSrcs(u.src, u.dst, u.label).foreach(s => view.visitOutNodes(s, addSeed))
+
+  /** The level the δD direct rule schedules out-neighbours at. */
+  private var nextLevel = 0
+  private val scheduleNext: NodeVisitor = x => scheduleWithUB(x, nextLevel)
 
   /** Read-only view of a node's stored differences (iteration, state). */
   def diffEntries(node: Int): IndexedSeq[(Int, Double)] = diffs(node).entries

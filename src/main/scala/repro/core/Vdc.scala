@@ -301,13 +301,17 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     joinSched = new mutable.LongMap(); minSched = new mutable.LongMap(); maxScheduled = 0
     val srcs = mutable.HashSet.empty[Int]
     batch.foreach { u =>
-      if (u.add) view.graph.addEdge(u.src, u.dst, u.weight, u.label)
-      else view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
-      if (captureTrace)
-        traceE.getOrElseUpdate(ts(K, 0), mutable.ArrayBuffer.empty) +=
-          ((u.src, u.dst, u.weight, if (u.add) 1 else -1))
-      eDiffCount += 1
-      srcs ++= view.touchedSrcs(u.src, u.dst, u.label)
+      // Deleting an absent edge changes nothing: no δE, no reruns.
+      val changed =
+        if (u.add) { view.graph.addEdge(u.src, u.dst, u.weight, u.label); true }
+        else view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
+      if (changed) {
+        if (captureTrace)
+          traceE.getOrElseUpdate(ts(K, 0), mutable.ArrayBuffer.empty) +=
+            ((u.src, u.dst, u.weight, if (u.add) 1 else -1))
+        eDiffCount += 1
+        srcs ++= view.touchedSrcs(u.src, u.dst, u.label)
+      }
     }
     // δE direct rule + lub with every existing δD^u iteration: Join(u)
     // rerun at ⟨K, j+1⟩ for each iteration j at which D^u has a difference.

@@ -1,15 +1,100 @@
 package repro.graph
 
-import scala.collection.mutable.ArrayBuffer
-
 /** A single edge update: insertion (`add = true`) or deletion, with weight
   * and label, per the paper's δE = [(u, v, label, weight, +/-)] (§3.1).
   * Weight updates appear as one deletion and one insertion.
   */
 final case class EdgeUpdate(src: Int, dst: Int, weight: Int, label: Byte, add: Boolean)
 
-/** A directed edge endpoint stored in an adjacency list. */
-final case class Half(other: Int, weight: Int, label: Byte)
+/** Receives the edges of an adjacency walk: (neighbour node, weight, label). */
+trait EdgeVisitor { def visit(node: Int, weight: Int, label: Byte): Unit }
+
+/** Receives the neighbour nodes of an adjacency walk. */
+trait NodeVisitor { def visit(node: Int): Unit }
+
+/** One direction of a [[DynamicGraph]]'s adjacency, as per-vertex parallel
+  * primitive arrays (neighbour, weight, label) plus a degree array — the flat
+  * layout of the paper's Appendix C, 9 bytes per edge. A vertex's edges stay
+  * in insertion order: removal shifts the tail down rather than swapping the
+  * last edge in, so walk order (and with it PageRank's summation order) does
+  * not depend on which edges were deleted.
+  */
+final class Adjacency private[graph] (numVertices: Int) {
+  import Adjacency._
+
+  private val deg = new Array[Int](numVertices)
+  private val nbr = Array.fill[Array[Int]](numVertices)(NoInts)
+  private val wt = Array.fill[Array[Int]](numVertices)(NoInts)
+  private val lbl = Array.fill[Array[Byte]](numVertices)(NoBytes)
+
+  def degree(v: Int): Int = deg(v)
+
+  /** Edges of `v` as (neighbour, weight, label), in insertion order. */
+  def edges(v: Int): Iterator[(Int, Int, Byte)] = {
+    val ns = nbr(v); val ws = wt(v); val ls = lbl(v)
+    Iterator.range(0, deg(v)).map(k => (ns(k), ws(k), ls(k)))
+  }
+
+  /** Neighbours of `v`, in insertion order. */
+  def nodes(v: Int): Iterator[Int] = {
+    val ns = nbr(v)
+    Iterator.range(0, deg(v)).map(ns(_))
+  }
+
+  /** Hand every edge of `v` to `f`, in insertion order, allocating nothing. */
+  def visit(v: Int, f: EdgeVisitor): Unit = {
+    val ns = nbr(v); val ws = wt(v); val ls = lbl(v); val d = deg(v)
+    var k = 0
+    while (k < d) { f.visit(ns(k), ws(k), ls(k)); k += 1 }
+  }
+
+  /** Hand every neighbour of `v` to `f`, in insertion order, allocating nothing. */
+  def visitNodes(v: Int, f: NodeVisitor): Unit = {
+    val ns = nbr(v); val d = deg(v)
+    var k = 0
+    while (k < d) { f.visit(ns(k)); k += 1 }
+  }
+
+  private[graph] def add(v: Int, other: Int, weight: Int, label: Byte): Unit = {
+    val d = deg(v)
+    if (d == nbr(v).length) resize(v, math.max(2, d * 2))
+    nbr(v)(d) = other; wt(v)(d) = weight; lbl(v)(d) = label
+    deg(v) = d + 1
+  }
+
+  /** Make room for `counts(v)` edges at every vertex v, so that a bulk build
+    * allocates each vertex's arrays once, at their exact size.
+    */
+  private[graph] def reserve(counts: Array[Int]): Unit = {
+    var v = 0
+    while (v < numVertices) { if (counts(v) > nbr(v).length) resize(v, counts(v)); v += 1 }
+  }
+
+  private def resize(v: Int, cap: Int): Unit = {
+    nbr(v) = java.util.Arrays.copyOf(nbr(v), cap)
+    wt(v) = java.util.Arrays.copyOf(wt(v), cap)
+    lbl(v) = java.util.Arrays.copyOf(lbl(v), cap)
+  }
+
+  /** Remove the first edge of `v` matching (other, weight, label) exactly. */
+  private[graph] def remove(v: Int, other: Int, weight: Int, label: Byte): Boolean = {
+    val ns = nbr(v); val ws = wt(v); val ls = lbl(v); val d = deg(v)
+    var k = 0
+    while (k < d && !(ns(k) == other && ws(k) == weight && ls(k) == label)) k += 1
+    if (k == d) return false
+    val tail = d - k - 1
+    System.arraycopy(ns, k + 1, ns, k, tail)
+    System.arraycopy(ws, k + 1, ws, k, tail)
+    System.arraycopy(ls, k + 1, ls, k, tail)
+    deg(v) = d - 1
+    true
+  }
+}
+
+object Adjacency {
+  private val NoInts = new Array[Int](0)
+  private val NoBytes = new Array[Byte](0)
+}
 
 /** Mutable directed property graph with both out- and in-adjacency,
   * supporting edge insertion/deletion — the base collection E of the IFE
@@ -20,25 +105,29 @@ final case class Half(other: Int, weight: Int, label: Byte)
   * Unweighted graphs use weight 1 (§3.1); unlabeled graphs use label 0.
   */
 final class DynamicGraph(val numVertices: Int) {
-  private val outAdj: Array[ArrayBuffer[Half]] = Array.fill(numVertices)(new ArrayBuffer[Half](2))
-  private val inAdj: Array[ArrayBuffer[Half]] = Array.fill(numVertices)(new ArrayBuffer[Half](2))
+  /** Out-edges: neighbour = destination. */
+  val outAdj = new Adjacency(numVertices)
+  /** In-edges: neighbour = source. */
+  val inAdj = new Adjacency(numVertices)
   private var nEdges: Long = 0L
 
   def numEdges: Long = nEdges
 
-  def outEdges(v: Int): scala.collection.Seq[Half] = outAdj(v)
-  def inEdges(v: Int): scala.collection.Seq[Half] = inAdj(v)
-  def outDegree(v: Int): Int = outAdj(v).size
-  def inDegree(v: Int): Int = inAdj(v).size
+  /** Out-edges of `v` as (destination, weight, label), in insertion order. */
+  def outEdges(v: Int): Iterator[(Int, Int, Byte)] = outAdj.edges(v)
+  /** In-edges of `v` as (source, weight, label), in insertion order. */
+  def inEdges(v: Int): Iterator[(Int, Int, Byte)] = inAdj.edges(v)
+  def outDegree(v: Int): Int = outAdj.degree(v)
+  def inDegree(v: Int): Int = inAdj.degree(v)
   /** Total degree (in + out), used by the Degree drop policy. */
-  def degree(v: Int): Int = outAdj(v).size + inAdj(v).size
+  def degree(v: Int): Int = outAdj.degree(v) + inAdj.degree(v)
 
   /** Insert edge (src → dst). Parallel edges are allowed (as in SNAP data
     * ingested edge-by-edge); an exact-duplicate insert adds a parallel edge.
     */
   def addEdge(src: Int, dst: Int, weight: Int = 1, label: Byte = 0): Unit = {
-    outAdj(src) += Half(dst, weight, label)
-    inAdj(dst) += Half(src, weight, label)
+    outAdj.add(src, dst, weight, label)
+    inAdj.add(dst, src, weight, label)
     nEdges += 1
   }
 
@@ -46,13 +135,8 @@ final class DynamicGraph(val numVertices: Int) {
     * @return true if an edge was removed
     */
   def removeEdge(src: Int, dst: Int, weight: Int = 1, label: Byte = 0): Boolean = {
-    val o = outAdj(src)
-    val idx = o.indexWhere(h => h.other == dst && h.weight == weight && h.label == label)
-    if (idx < 0) return false
-    o.remove(idx)
-    val i = inAdj(dst)
-    val idx2 = i.indexWhere(h => h.other == src && h.weight == weight && h.label == label)
-    i.remove(idx2)
+    if (!outAdj.remove(src, dst, weight, label)) return false
+    inAdj.remove(dst, src, weight, label)
     nEdges -= 1
     true
   }
@@ -65,18 +149,10 @@ final class DynamicGraph(val numVertices: Int) {
 
   /** All current edges as update-tuples (for export to DataFrames/oracles). */
   def edgeList: Seq[(Int, Int, Int, Byte)] =
-    (0 until numVertices).flatMap(v => outAdj(v).map(h => (v, h.other, h.weight, h.label)))
+    (0 until numVertices).flatMap(v => outEdges(v).map { case (d, w, l) => (v, d, w, l) })
 
   /** Deep copy (used to hand a private graph to each concurrent query). */
-  def copy(): DynamicGraph = {
-    val g = new DynamicGraph(numVertices)
-    var v = 0
-    while (v < numVertices) {
-      outAdj(v).foreach(h => g.addEdge(v, h.other, h.weight, h.label))
-      v += 1
-    }
-    g
-  }
+  def copy(): DynamicGraph = DynamicGraph.fromEdges(numVertices, edgeList)
 
   /** Degree value at the given percentile in [0, 100] (for τ_max). */
   def degreePercentile(pct: Double): Int = {
@@ -87,9 +163,16 @@ final class DynamicGraph(val numVertices: Int) {
 }
 
 object DynamicGraph {
-  /** Build a graph over [0, numVertices) from an edge list. */
+  /** Build a graph over [0, numVertices) from an edge list, inserting the
+    * edges in list order.
+    */
   def fromEdges(numVertices: Int, edges: Seq[(Int, Int, Int, Byte)]): DynamicGraph = {
     val g = new DynamicGraph(numVertices)
+    val outDeg = new Array[Int](numVertices)
+    val inDeg = new Array[Int](numVertices)
+    edges.foreach { e => outDeg(e._1) += 1; inDeg(e._2) += 1 }
+    g.outAdj.reserve(outDeg)
+    g.inAdj.reserve(inDeg)
     edges.foreach { case (s, d, w, l) => g.addEdge(s, d, w, l) }
     g
   }

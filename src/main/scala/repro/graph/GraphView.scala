@@ -24,6 +24,24 @@ trait GraphView {
   /** Out-neighbour nodes (for scheduling direct-rule reruns). */
   def outNodes(node: Int): Iterator[Int]
 
+  /** Hand each of `inEdges(node)` to `f`, in the same order. This default
+    * walks `inEdges`, so a view that wraps another sees the same edges;
+    * views over the primitive store override it with a loop that allocates
+    * nothing per edge.
+    */
+  def visitIn(node: Int, f: EdgeVisitor): Unit = {
+    val it = inEdges(node)
+    while (it.hasNext) { val (w, wt, l) = it.next(); f.visit(w, wt, l) }
+  }
+
+  /** Hand each of `outNodes(node)` to `f`, in the same order; defaults and
+    * overrides as for `visitIn`.
+    */
+  def visitOutNodes(node: Int, f: NodeVisitor): Unit = {
+    val it = outNodes(node)
+    while (it.hasNext) f.visit(it.next())
+  }
+
   /** Out-edges of a node: (destination node, weight, label) — what the Join
     * operator of VDC enumerates when it reruns for a source node.
     */
@@ -49,11 +67,11 @@ trait GraphView {
 /** Directed view: nodes are exactly the graph's vertices. */
 final class DirectView(val graph: DynamicGraph) extends GraphView {
   def numNodes: Int = graph.numVertices
-  def inEdges(node: Int): Iterator[(Int, Int, Byte)] =
-    graph.inEdges(node).iterator.map(h => (h.other, h.weight, h.label))
-  def outNodes(node: Int): Iterator[Int] = graph.outEdges(node).iterator.map(_.other)
-  def outEdges(node: Int): Iterator[(Int, Int, Byte)] =
-    graph.outEdges(node).iterator.map(h => (h.other, h.weight, h.label))
+  def inEdges(node: Int): Iterator[(Int, Int, Byte)] = graph.inAdj.edges(node)
+  def outNodes(node: Int): Iterator[Int] = graph.outAdj.nodes(node)
+  def outEdges(node: Int): Iterator[(Int, Int, Byte)] = graph.outAdj.edges(node)
+  override def visitIn(node: Int, f: EdgeVisitor): Unit = graph.inAdj.visit(node, f)
+  override def visitOutNodes(node: Int, f: NodeVisitor): Unit = graph.outAdj.visitNodes(node, f)
   def policyDegree(node: Int): Int = graph.degree(node)
   def touchedDsts(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator.single(v)
   def touchedSrcs(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator.single(u)
@@ -64,13 +82,16 @@ final class DirectView(val graph: DynamicGraph) extends GraphView {
 final class UndirectedView(val graph: DynamicGraph) extends GraphView {
   def numNodes: Int = graph.numVertices
   def inEdges(node: Int): Iterator[(Int, Int, Byte)] =
-    graph.inEdges(node).iterator.map(h => (h.other, h.weight, h.label)) ++
-      graph.outEdges(node).iterator.map(h => (h.other, h.weight, h.label))
-  def outNodes(node: Int): Iterator[Int] =
-    graph.outEdges(node).iterator.map(_.other) ++ graph.inEdges(node).iterator.map(_.other)
+    graph.inAdj.edges(node) ++ graph.outAdj.edges(node)
+  def outNodes(node: Int): Iterator[Int] = graph.outAdj.nodes(node) ++ graph.inAdj.nodes(node)
   def outEdges(node: Int): Iterator[(Int, Int, Byte)] =
-    graph.outEdges(node).iterator.map(h => (h.other, h.weight, h.label)) ++
-      graph.inEdges(node).iterator.map(h => (h.other, h.weight, h.label))
+    graph.outAdj.edges(node) ++ graph.inAdj.edges(node)
+  override def visitIn(node: Int, f: EdgeVisitor): Unit = {
+    graph.inAdj.visit(node, f); graph.outAdj.visit(node, f)
+  }
+  override def visitOutNodes(node: Int, f: NodeVisitor): Unit = {
+    graph.outAdj.visitNodes(node, f); graph.inAdj.visitNodes(node, f)
+  }
   def policyDegree(node: Int): Int = graph.degree(node)
   def touchedDsts(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator(u, v)
   def touchedSrcs(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator(u, v)
@@ -90,22 +111,22 @@ final class ProductView(val graph: DynamicGraph, val automaton: Automaton) exten
 
   def inEdges(node: Int): Iterator[(Int, Int, Byte)] = {
     val v = vertexOf(node); val q = stateOf(node)
-    graph.inEdges(v).iterator.flatMap { h =>
-      automaton.prev(q, h.label).iterator.map(qp => (nodeOf(h.other, qp), h.weight, h.label))
+    graph.inAdj.edges(v).flatMap { case (w, wt, l) =>
+      automaton.prev(q, l).iterator.map(qp => (nodeOf(w, qp), wt, l))
     }
   }
 
   def outNodes(node: Int): Iterator[Int] = {
     val v = vertexOf(node); val q = stateOf(node)
-    graph.outEdges(v).iterator.flatMap { h =>
-      automaton.next(q, h.label).iterator.map(qn => nodeOf(h.other, qn))
+    graph.outAdj.edges(v).flatMap { case (x, _, l) =>
+      automaton.next(q, l).iterator.map(qn => nodeOf(x, qn))
     }
   }
 
   def outEdges(node: Int): Iterator[(Int, Int, Byte)] = {
     val v = vertexOf(node); val q = stateOf(node)
-    graph.outEdges(v).iterator.flatMap { h =>
-      automaton.next(q, h.label).iterator.map(qn => (nodeOf(h.other, qn), h.weight, h.label))
+    graph.outAdj.edges(v).flatMap { case (x, wt, l) =>
+      automaton.next(q, l).iterator.map(qn => (nodeOf(x, qn), wt, l))
     }
   }
 

@@ -2,7 +2,7 @@ package repro.landmark
 
 import scala.collection.mutable
 import repro.core.{IFESpec, Jod, Queries, ScratchEngine}
-import repro.graph.{DynamicGraph, EdgeUpdate, GraphView, DirectView, Half}
+import repro.graph.{DynamicGraph, EdgeUpdate, GraphView, DirectView}
 
 /** Landmark shortest-path indices, differentially maintained with Diff-IFE,
   * pruning a from-scratch SPSP — the paper's §6.6 Scratch-Landmark system.
@@ -105,7 +105,7 @@ final class Landmark(val graph: DynamicGraph, val landmarks: Seq[Int]) {
       frontier.foreach { v =>
         // prune: v cannot be on a shortest s->d path
         if (dist(v) + lowerBound(v, d) <= lu) {
-          graph.outEdges(v).foreach { case Half(u, w, _) =>
+          graph.outEdges(v).foreach { case (u, w, _) =>
             val nd = dist(v) + w
             if (nd < dist(u)) { dist(u) = nd; next += u }
           }

@@ -72,11 +72,11 @@ final class DiffList {
     true
   }
 
-  /** Iterations strictly greater than i, ascending (for the upper-bound rule). */
-  def itersAbove(i: Int): Iterator[Int] = {
-    val start = floorIndex(i) + 1
-    (start until n).iterator.map(iters(_))
-  }
+  /** The iteration stored at index k (0 <= k < size), ascending in k. The
+    * upper-bound rule walks the iterations above i as indices
+    * `floorIndex(i) + 1 until size`.
+    */
+  def iterAt(k: Int): Int = iters(k)
 
   /** All (iteration, state) pairs, ascending by iteration. */
   def entries: IndexedSeq[(Int, Double)] =

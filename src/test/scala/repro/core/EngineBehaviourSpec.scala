@@ -171,4 +171,30 @@ class EngineBehaviourSpec extends AnyFunSuite {
     assert(det.currentStates().toSeq ==
       ScratchEngine.states(Queries.khop(g, 0, 5)).toSeq)
   }
+
+  test("JOD rejects iteration caps that overflow the 20-bit packed iteration") {
+    val g = new DynamicGraph(4)
+    g.addEdge(0, 1)
+    // K-hop's maxIters is k + 1.
+    assert(Queries.khop(g, 0, (1 << 20) - 1).maxIters == 1 << 20)
+    intercept[IllegalArgumentException](new Jod(Queries.khop(g, 0, (1 << 20) - 1)))
+    val jod = new Jod(Queries.khop(g, 0, (1 << 20) - 2))
+    jod.initialRun()
+    assert(jod.currentStates().toSeq == Seq(0.0, 1.0, Queries.INF, Queries.INF))
+  }
+
+  test("VDC counts no δE for deleting an absent edge") {
+    val (g, ups) = randomDyn(29)
+    val vdc = new Vdc(Queries.sssp(g, 0), captureTrace = true)
+    vdc.initialRun()
+    ups.grouped(4).foreach(b => vdc.applyBatch(b))
+    def tracedE = vdc.traceE.values.map(_.size).sum
+    val (diffsBefore, tracedBefore) = (vdc.diffCount, tracedE)
+    val absent = EdgeUpdate(0, 1, 999, 0, add = false)
+    assert(!g.copy().removeEdge(absent.src, absent.dst, absent.weight, absent.label))
+    vdc.applyBatch(Seq(absent))
+    assert(vdc.diffCount == diffsBefore)
+    assert(tracedE == tracedBefore)
+    assert(vdc.currentStates().toSeq == ScratchEngine.states(Queries.sssp(g, 0)).toSeq)
+  }
 }

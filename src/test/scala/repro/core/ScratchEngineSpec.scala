@@ -27,8 +27,8 @@ class ScratchEngineSpec extends AnyFunSuite {
     pq.enqueue((0.0, s))
     while (pq.nonEmpty) {
       val (d, v) = pq.dequeue()
-      if (d == dist(v)) g.outEdges(v).foreach { h =>
-        if (d + h.weight < dist(h.other)) { dist(h.other) = d + h.weight; pq.enqueue((dist(h.other), h.other)) }
+      if (d == dist(v)) g.outEdges(v).foreach { case (u, w, _) =>
+        if (d + w < dist(u)) { dist(u) = d + w; pq.enqueue((dist(u), u)) }
       }
     }
     dist
@@ -49,7 +49,7 @@ class ScratchEngineSpec extends AnyFunSuite {
         dist(0) = 0
         var frontier = Set(0)
         for (d <- 1 to k) {
-          frontier = frontier.flatMap(v => g.outEdges(v).map(_.other))
+          frontier = frontier.flatMap(v => g.outEdges(v).map(_._1))
             .filter(v => dist(v).isInfinite)
           frontier.foreach(v => dist(v) = d.toDouble)
         }
@@ -83,7 +83,7 @@ class ScratchEngineSpec extends AnyFunSuite {
         val next = Array.fill(g.numVertices)(0.0)
         (0 until g.numVertices).foreach { v =>
           val d = g.outDegree(v)
-          if (d > 0) g.outEdges(v).foreach(h => next(h.other) += pr(v) / d)
+          if (d > 0) g.outEdges(v).foreach(e => next(e._1) += pr(v) / d)
         }
         pr = next.map(s => 0.15 + 0.85 * s)
       }
@@ -101,7 +101,7 @@ class ScratchEngineSpec extends AnyFunSuite {
       var frontier = List((0, 0))
       while (frontier.nonEmpty) {
         frontier = frontier.flatMap { case (v, q) =>
-          g.outEdges(v).flatMap(h => m.next(q, h.label).map(nq => (h.other, nq)))
+          g.outEdges(v).flatMap { case (u, _, l) => m.next(q, l).map(nq => (u, nq)) }
         }.filter(reach.add)
       }
       val expected = reach.filter(p => m.accepting(p._2)).map(_._1).toSet

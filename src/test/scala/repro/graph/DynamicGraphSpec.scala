@@ -8,12 +8,12 @@ class DynamicGraphSpec extends AnyFunSuite {
     val g = new DynamicGraph(4)
     g.addEdge(0, 1, 5); g.addEdge(1, 2, 3); g.addEdge(0, 1, 7)
     assert(g.numEdges == 3)
-    assert(g.outEdges(0).map(h => (h.other, h.weight)) == Seq((1, 5), (1, 7)))
-    assert(g.inEdges(1).map(h => (h.other, h.weight)) == Seq((0, 5), (0, 7)))
+    assert(g.outEdges(0).map(e => (e._1, e._2)).toSeq == Seq((1, 5), (1, 7)))
+    assert(g.inEdges(1).map(e => (e._1, e._2)).toSeq == Seq((0, 5), (0, 7)))
     assert(g.removeEdge(0, 1, 5))
     assert(g.numEdges == 2)
-    assert(g.outEdges(0).map(_.weight) == Seq(7))
-    assert(g.inEdges(1).map(_.weight) == Seq(7))
+    assert(g.outEdges(0).map(_._2).toSeq == Seq(7))
+    assert(g.inEdges(1).map(_._2).toSeq == Seq(7))
     assert(!g.removeEdge(0, 1, 5)) // already gone
     assert(!g.removeEdge(3, 0, 1)) // never existed
   }

@@ -28,7 +28,7 @@ class DiffListSpec extends AnyFunSuite {
         val expFloor = ref.rangeTo(probe).lastOption
         assert(dl.floorIter(probe) == expFloor.map(_._1).getOrElse(-1))
         assert(dl.valueAt(probe, Double.NaN).equals(expFloor.map(_._2).getOrElse(Double.NaN)))
-        assert(dl.itersAbove(probe).toSeq == ref.rangeFrom(probe + 1).keys.toSeq)
+        assert((dl.floorIndex(probe) + 1 until dl.size).map(dl.iterAt) == ref.rangeFrom(probe + 1).keys.toSeq)
       }
       assert(dl.maxIter == ref.keys.maxOption.getOrElse(-1))
     }
@@ -68,6 +68,6 @@ class DiffListSpec extends AnyFunSuite {
     assert(dl.isEmpty && dl.size == 0 && dl.maxIter == -1)
     assert(dl.floorIter(100) == -1 && dl.valueAt(5, 42.0) == 42.0)
     assert(!dl.remove(3))
-    assert(dl.itersAbove(0).isEmpty)
+    assert(dl.floorIndex(0) + 1 == dl.size)
   }
 }

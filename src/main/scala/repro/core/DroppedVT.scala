@@ -1,7 +1,9 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.util.{BloomFilter, MemoryModel}
+
+/** Receives the iterations of a [[DroppedVT]] walk. */
+trait IterVisitor { def visit(iter: Int): Unit }
 
 /** Storage for dropped (vertex, iteration) "VT pairs" — the Dropped
   * Difference Maintenance component of partial dropping (paper §5.1).
@@ -21,6 +23,16 @@ trait DroppedVT {
   /** All possibly-dropped iterations in (loExclusive, hiInclusive], ascending. */
   def itersIn(node: Int, loExclusive: Int, hiInclusive: Int): Iterator[Int]
 
+  /** Hand each of `itersIn(node, loExclusive, hiInclusive)` to `f`, in the
+    * same order. This default walks `itersIn`, so a DroppedVT that wraps
+    * another sees the same lookups; the stores below override it with a
+    * loop that allocates nothing.
+    */
+  def visitIters(node: Int, loExclusive: Int, hiInclusive: Int, f: IterVisitor): Unit = {
+    val it = itersIn(node, loExclusive, hiInclusive)
+    while (it.hasNext) f.visit(it.next())
+  }
+
   /** Number of distinct logical drops recorded (for reporting). */
   def logicalCount: Long
 
@@ -31,23 +43,63 @@ trait DroppedVT {
 /** Det-Drop's DroppedVT (§5.1.1): a hash table keyed by vertex whose value
   * is a sorted list of dropped iterations, searched by binary search
   * (Appendix C). Exact, but costs [[MemoryModel.DroppedVtBytes]] per dropped
-  * difference — the source of the d/(d+s) scalability floor.
+  * difference — the source of the d/(d+s) scalability floor. The table is
+  * open-addressing over primitive arrays: a vertex, its iteration array and
+  * that array's fill per slot.
   */
 final class DetDroppedVT extends DroppedVT {
-  private val table = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+  private var vertices = Array.fill(16)(-1) // -1 marks an empty slot
+  private var lists = new Array[Array[Int]](16)
+  private var lens = new Array[Int](16)
+  private var used = 0
   private var n: Long = 0L
 
+  /** The slot holding `node`, or the empty slot where it would go. */
+  private def slotOf(node: Int): Int = {
+    val mask = vertices.length - 1
+    val h = node * 0x9e3779b9
+    var s = (h ^ (h >>> 16)) & mask
+    while (vertices(s) != node && vertices(s) != -1) s = (s + 1) & mask
+    s
+  }
+
   def add(node: Int, iter: Int): Unit = {
-    val list = table.getOrElseUpdate(node, mutable.ArrayBuffer.empty[Int])
-    val idx = lowerBound(list, iter)
-    if (idx < list.size && list(idx) == iter) return // duplicate drop of same VT
-    list.insert(idx, iter)
+    var s = slotOf(node)
+    if (vertices(s) == -1) {
+      if (2 * (used + 1) > vertices.length) { grow(); s = slotOf(node) }
+      vertices(s) = node
+      lists(s) = new Array[Int](2)
+      used += 1
+    }
+    var list = lists(s)
+    val len = lens(s)
+    val idx = lowerBound(list, len, iter)
+    if (idx < len && list(idx) == iter) return // duplicate drop of same VT
+    if (len == list.length) { list = java.util.Arrays.copyOf(list, len * 2); lists(s) = list }
+    System.arraycopy(list, idx, list, idx + 1, len - idx)
+    list(idx) = iter
+    lens(s) = len + 1
     n += 1
   }
 
-  /** First index with list(idx) >= key. */
-  private def lowerBound(list: mutable.ArrayBuffer[Int], key: Int): Int = {
-    var lo = 0; var hi = list.size
+  private def grow(): Unit = {
+    val (oldVertices, oldLists, oldLens) = (vertices, lists, lens)
+    vertices = Array.fill(oldVertices.length * 2)(-1)
+    lists = new Array[Array[Int]](oldVertices.length * 2)
+    lens = new Array[Int](oldVertices.length * 2)
+    var k = 0
+    while (k < oldVertices.length) {
+      if (oldVertices(k) != -1) {
+        val s = slotOf(oldVertices(k))
+        vertices(s) = oldVertices(k); lists(s) = oldLists(k); lens(s) = oldLens(k)
+      }
+      k += 1
+    }
+  }
+
+  /** First index below `len` with list(idx) >= key. */
+  private def lowerBound(list: Array[Int], len: Int, key: Int): Int = {
+    var lo = 0; var hi = len
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (list(mid) < key) lo = mid + 1 else hi = mid
@@ -55,21 +107,29 @@ final class DetDroppedVT extends DroppedVT {
     lo
   }
 
-  def latestIn(node: Int, loExclusive: Int, hiInclusive: Int): Int =
-    table.get(node) match {
-      case None => -1
-      case Some(list) =>
-        val idx = lowerBound(list, hiInclusive + 1) - 1 // last <= hi
-        if (idx >= 0 && list(idx) > loExclusive) list(idx) else -1
-    }
+  def latestIn(node: Int, loExclusive: Int, hiInclusive: Int): Int = {
+    val s = slotOf(node)
+    if (vertices(s) == -1) return -1
+    val list = lists(s)
+    val idx = lowerBound(list, lens(s), hiInclusive + 1) - 1 // last <= hi
+    if (idx >= 0 && list(idx) > loExclusive) list(idx) else -1
+  }
 
-  def itersIn(node: Int, loExclusive: Int, hiInclusive: Int): Iterator[Int] =
-    table.get(node) match {
-      case None => Iterator.empty
-      case Some(list) =>
-        val from = lowerBound(list, loExclusive + 1)
-        list.iterator.drop(from).takeWhile(_ <= hiInclusive)
-    }
+  def itersIn(node: Int, loExclusive: Int, hiInclusive: Int): Iterator[Int] = {
+    val s = slotOf(node)
+    if (vertices(s) == -1) return Iterator.empty
+    val list = lists(s)
+    Iterator.range(lowerBound(list, lens(s), loExclusive + 1), lens(s)).map(list(_)).takeWhile(_ <= hiInclusive)
+  }
+
+  override def visitIters(node: Int, loExclusive: Int, hiInclusive: Int, f: IterVisitor): Unit = {
+    val s = slotOf(node)
+    if (vertices(s) == -1) return
+    val list = lists(s)
+    val len = lens(s)
+    var k = lowerBound(list, len, loExclusive + 1)
+    while (k < len && list(k) <= hiInclusive) { f.visit(list(k)); k += 1 }
+  }
 
   def logicalCount: Long = n
   def sizeBytes: Long = n * MemoryModel.DroppedVtBytes
@@ -101,6 +161,14 @@ final class ProbDroppedVT(expectedDrops: Long, bitsPerElement: Int = 10) extends
   def itersIn(node: Int, loExclusive: Int, hiInclusive: Int): Iterator[Int] =
     ((loExclusive + 1) to hiInclusive).iterator
       .filter(d => bloom.mightContain(BloomFilter.packVT(node, d)))
+
+  override def visitIters(node: Int, loExclusive: Int, hiInclusive: Int, f: IterVisitor): Unit = {
+    var d = loExclusive + 1
+    while (d <= hiInclusive) {
+      if (bloom.mightContain(BloomFilter.packVT(node, d))) f.visit(d)
+      d += 1
+    }
+  }
 
   def logicalCount: Long = n
   def sizeBytes: Long = bloom.sizeBytes

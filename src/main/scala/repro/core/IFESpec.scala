@@ -56,26 +56,40 @@ trait IFESpec {
     * its out-neighbours (PageRank: out-degree is in the denominator).
     */
   def edgeTouchesAllOutNeighbours: Boolean = false
+}
 
-  /** Recompute D_i(node) from the previous level, reading neighbour states
-    * through `prevState` (which engines route through their difference
-    * indexes — or through AccessDWithDrops when differences were dropped).
-    */
-  final def recompute(node: Int, prevState: Int => Double): Double = {
-    val acc = new Aggregation(prevState)
-    view.visitIn(node, acc)
-    finish(acc.value, init(node))
+/** The aggregation of the IFE dataflow, the one place it is defined:
+  * `apply(node)` is D_i(node) = `finish(agg over (w, wt, l) in
+  * spec.view.visitIn(node) of contrib(w, prev(w), wt, l), init(node))`,
+  * calling `finish` exactly once. Subclasses say where the previous level's
+  * states come from — engines route `prev` through their difference
+  * indexes, or through AccessDWithDrops when differences were dropped.
+  *
+  * One instance serves any number of recomputes and allocates nothing. It
+  * is re-entrant: `prev` may itself call `apply` (a dropped-difference
+  * cascade), because the running aggregate of the outer call is kept on
+  * the stack while the inner one runs.
+  */
+abstract class Aggregation(spec: IFESpec) extends EdgeVisitor {
+  private var acc: Double = 0.0
+
+  /** D_{i-1}(w), the previous level's state of in-neighbour `w`. */
+  protected def prev(w: Int): Double
+
+  final def apply(node: Int): Double = {
+    val outer = acc
+    acc = spec.aggZero
+    spec.view.visitIn(node, this)
+    val v = spec.finish(acc, spec.init(node))
+    acc = outer
+    v
   }
 
-  /** Folds the in-edges `visitIn` hands it into `value`. */
-  private final class Aggregation(prevState: Int => Double) extends EdgeVisitor {
-    var value: Double = aggZero
-    def visit(w: Int, wt: Int, l: Byte): Unit = {
-      val sv = prevState(w)
-      if (sv != Queries.INF) {
-        val c = contrib(w, sv, wt, l)
-        if (c != Queries.INF) value = agg(value, c)
-      }
+  final def visit(w: Int, wt: Int, l: Byte): Unit = {
+    val sv = prev(w)
+    if (sv != Queries.INF) {
+      val c = spec.contrib(w, sv, wt, l)
+      if (c != Queries.INF) acc = spec.agg(acc, c)
     }
   }
 }

@@ -1,8 +1,7 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.graph.{EdgeUpdate, EdgeVisitor, NodeVisitor}
-import repro.util.{DiffList, Frontier, IntBuffer, MemoryModel}
+import repro.util.{DiffList, Frontier, IntBuffer, LongDoubleMap, MemoryModel}
 
 /** DC^JOD with eager merging (paper §4–§5): the differential engine that
   * completely drops the Join operator's differences and keeps only
@@ -14,7 +13,7 @@ import repro.util.{DiffList, Frontier, IntBuffer, MemoryModel}
   *  - the frontier is a per-iteration bitset of nodes whose aggregation
   *    must rerun, drained in ascending node order ([[Frontier]]);
   *  - the join input J^v_i is reconstructed on demand by reading each
-  *    in-neighbour w's D^w_{i-1} (and the edge), exactly `spec.recompute`.
+  *    in-neighbour w's D^w_{i-1} (and the edge), through [[Aggregation]].
   *
   * Scheduling rules of DC^JOD (§4.1), adapted to the one-dimensional
   * timestamps eager merging guarantees (§4.2):
@@ -34,6 +33,11 @@ import repro.util.{DiffList, Frontier, IntBuffer, MemoryModel}
   * §5.1.1), with a per-batch memo table so cascades stay polynomial. The
   * `recomputeCount` counter reports each dropped-difference recomputation
   * (the Fig 6b metric).
+  *
+  * Once its buffers have grown, a batch allocates nothing: one reusable
+  * [[Aggregation]] serves every recompute, cascades included, and the
+  * edge, neighbour and dropped-iteration walks go through reusable
+  * visitors.
   */
 final class Jod(
     val spec: IFESpec,
@@ -62,8 +66,15 @@ final class Jod(
   lazy val perNodeRecomputes: Array[Long] = new Array[Long](n)
   var totalDiffsWritten: Long = 0L
 
-  // ---- per-batch transient state; all but the memo is reused across batches ----
-  private var memo: mutable.LongMap[Double] = null
+  private val canDrop = droppedVT != null && (policy ne DropPolicy.KeepAll)
+
+  // ---- per-batch transient state, reused across batches ----
+  /** Memo of recomputed dropped differences, keyed by `key(node, iter)`;
+    * set to `memoTable` (cleared) while a batch or a full read runs, null
+    * otherwise and in engines that cannot drop.
+    */
+  private var memo: LongDoubleMap = null
+  private val memoTable = if (canDrop) new LongDoubleMap else null
   private val frontier = new Frontier(n)
   /** node -> lowest i0 UB-scanned this batch (Int.MaxValue: not scanned). */
   private val scannedFrom: Array[Int] = Array.fill(n)(Int.MaxValue)
@@ -71,7 +82,6 @@ final class Jod(
   private val seeds = new IntBuffer
   private var maxScheduled: Int = 0
 
-  private val canDrop = droppedVT != null && (policy ne DropPolicy.KeepAll)
   private val iterCap: Int = spec.maxIters
 
   @inline private def key(node: Int, iter: Int): Long = (node.toLong << 20) | iter.toLong
@@ -113,9 +123,24 @@ final class Jod(
     if (memo != null && memo.contains(k)) return memo(k)
     recomputeCount += 1
     if (trackPerNode) perNodeRecomputes(node) += 1
-    val v = spec.recompute(node, w => access(w, d - 1))
+    val v = recompute(node, d)
     if (memo != null) memo(k) = v
     v
+  }
+
+  /** D_i(node) from its in-neighbours' states at i - 1, read through
+    * `access`. Cascades re-enter here; `level` is saved on the stack.
+    */
+  private def recompute(node: Int, i: Int): Double = {
+    val outer = level
+    level = i - 1
+    val v = aggregation(node)
+    level = outer
+    v
+  }
+  private var level = 0
+  private val aggregation = new Aggregation(spec) {
+    protected def prev(w: Int): Double = access(w, level)
   }
 
   // ------------------------------------------------------------------
@@ -135,9 +160,14 @@ final class Jod(
     val dl = diffs(w)
     var k = dl.floorIndex(above) + 1
     while (k < dl.size) { scheduleBasic(node, dl.iterAt(k) + shift); k += 1 }
-    if (canDrop)
-      droppedVT.itersIn(w, above, maxIterSeen).foreach(j => scheduleBasic(node, j + shift))
+    if (canDrop) {
+      droppedNode = node; droppedShift = shift
+      droppedVT.visitIters(w, above, maxIterSeen, scheduleDropped)
+    }
   }
+  private var droppedNode = 0
+  private var droppedShift = 0
+  private val scheduleDropped: IterVisitor = j => scheduleBasic(droppedNode, j + droppedShift)
 
   // The in-neighbour half of the upper-bound scan, as one reusable visitor:
   // scheduleWithUB sets the node and bound before each walk.
@@ -193,7 +223,7 @@ final class Jod(
     */
   def initialRun(): Unit = {
     val res = ScratchEngine.run(spec, withTrace = true)
-    memo = new mutable.LongMap[Double]()
+    startMemo()
     var i = 1
     while (i < res.trace.size) {
       res.trace(i).foreach { case (v, nv) => writeDiff(v, i, nv) }
@@ -206,18 +236,10 @@ final class Jod(
     * The graph is mutated here; callers must not pre-apply the batch.
     */
   def applyBatch(batch: Seq[EdgeUpdate]): Unit = {
-    memo = new mutable.LongMap[Double]()
+    startMemo()
     maxScheduled = 0
 
-    batch.foreach { u =>
-      // PageRank: an edge at u changes u's out-degree, hence u's
-      // contribution to *all* its out-neighbours (old and new).
-      if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
-      if (u.add) spec.view.graph.addEdge(u.src, u.dst, u.weight, u.label)
-      else spec.view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
-      if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
-      view.touchedDsts(u.src, u.dst, u.label).foreach(seeds.add)
-    }
+    batch.foreach(applyUpdate)
     // δE direct rule + upper bounds; a repeated seed finds itself scanned.
     var k = 0
     while (k < seeds.size) { scheduleWithUB(seeds(k), 1); k += 1 }
@@ -225,14 +247,12 @@ final class Jod(
 
     var i = 1
     while (i <= maxScheduled && i <= iterCap) {
-      val prevLevel = i - 1
-      val prevState: Int => Double = w => access(w, prevLevel)
       nextLevel = i + 1
       var v = frontier.poll(i)
       while (v >= 0) {
         val dropped = droppedAt(v, i)
         val old = if (dropped < 0) storedAt(v, i) else recomputeDropped(v, dropped)
-        val nv = spec.recompute(v, prevState)
+        val nv = recompute(v, i)
         // Change detection. For stored representations, compare against the
         // stored value. When the old value resolves through a dropped
         // record, the record is self-maintaining (access recomputes the
@@ -262,9 +282,28 @@ final class Jod(
     memo = null
   }
 
+  private def startMemo(): Unit = {
+    memo = memoTable
+    if (memo != null) memo.clear()
+  }
+
+  /** Mutate the graph for one update and seed the nodes it touches. */
+  private val applyUpdate: EdgeUpdate => Unit = { u =>
+    // PageRank: an edge at u changes u's out-degree, hence u's
+    // contribution to *all* its out-neighbours (old and new).
+    if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
+    if (u.add) spec.view.graph.addEdge(u.src, u.dst, u.weight, u.label)
+    else spec.view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
+    if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
+    val dsts = view.touchedDsts(u.src, u.dst, u.label)
+    while (dsts.hasNext) seeds.add(dsts.next())
+  }
+
   private val addSeed: NodeVisitor = v => seeds.add(v)
-  private def seedOutNodes(u: EdgeUpdate): Unit =
-    view.touchedSrcs(u.src, u.dst, u.label).foreach(s => view.visitOutNodes(s, addSeed))
+  private def seedOutNodes(u: EdgeUpdate): Unit = {
+    val srcs = view.touchedSrcs(u.src, u.dst, u.label)
+    while (srcs.hasNext) view.visitOutNodes(srcs.next(), addSeed)
+  }
 
   /** The level the δD direct rule schedules out-neighbours at. */
   private var nextLevel = 0
@@ -275,7 +314,7 @@ final class Jod(
 
   /** Final states (at the current horizon) for every node. */
   def currentStates(): Array[Double] = {
-    memo = new mutable.LongMap[Double]()
+    startMemo()
     val out = new Array[Double](n)
     var v = 0
     while (v < n) { out(v) = access(v, math.max(1, maxIterSeen)); v += 1 }

@@ -42,13 +42,15 @@ object ScratchEngine {
       node += 1
     }
 
+    val states = prev
+    val recompute = new Aggregation(spec) { protected def prev(w: Int): Double = states(w) }
     var iter = 0
     var continue = frontier.nonEmpty
     while (continue && iter < spec.maxIters) {
       iter += 1
       val changes = mutable.ArrayBuffer[(Int, Double)]()
       frontier.foreach { v =>
-        val nv = spec.recompute(v, prev)
+        val nv = recompute(v)
         if (!spec.same(nv, prev(v))) changes += ((v, nv))
       }
       if (withTrace) trace += changes.toMap

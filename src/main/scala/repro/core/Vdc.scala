@@ -1,8 +1,8 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.graph.EdgeUpdate
-import repro.util.MemoryModel
+import repro.graph.{EdgeUpdate, EdgeVisitor}
+import repro.util.{Frontier, MemoryModel, Multiset}
 
 /** Vanilla Differential Computation (paper §3.3) for the IFE dataflow —
   * the VDC baseline, with full two-dimensional ⟨graph-version k, IFE
@@ -18,6 +18,14 @@ import repro.util.MemoryModel
   * since updates only ever arrive at the latest version K, every rerun
   * happens at timestamps ⟨K, i⟩, processed in ascending i.
   *
+  * The difference sets are arranged traces (as in Differential Dataflow's
+  * arrangements): per node and collection, one run of differences in
+  * primitive arrays, in ascending timestamp order, allocated on the node's
+  * first write. Every write lands at ⟨K, i⟩ with K the newest version and i
+  * rising within a version, so a write only ever appends or consolidates
+  * at the tail of a run. An accumulation Σ_{s ≤ t} is a scan of one run
+  * into a reusable [[Multiset]].
+  *
   * `mergeEvery = 0` never merges — pure VDC, whose per-node timestamp count
   * grows with every batch. `mergeEvery = M > 0` periodically merges the
   * version dimension like the DD system does (§4.2) — our stand-in for the
@@ -25,6 +33,7 @@ import repro.util.MemoryModel
   */
 final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Boolean = false) {
   import Queries.INF
+  import Vdc.Run
 
   private val view = spec.view
   private val n = view.numNodes
@@ -33,17 +42,17 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
   @inline private def ts(k: Int, i: Int): Long = (k.toLong << 24) | i.toLong
   @inline private def tsK(t: Long): Int = (t >>> 24).toInt
   @inline private def tsI(t: Long): Int = (t & 0xffffffL).toInt
-  @inline private def leq(t: Long, k: Int, i: Int): Boolean = tsK(t) <= k && tsI(t) <= i
 
-  private type VMultiset = mutable.HashMap[Double, Int]
-  private type CMultiset = mutable.HashMap[(Int, Double), Int]
-
-  private val dDiffs: Array[mutable.LongMap[VMultiset]] =
-    Array.fill(n)(new mutable.LongMap[VMultiset]())
-  private val jSrc: Array[mutable.LongMap[CMultiset]] =
-    Array.fill(n)(new mutable.LongMap[CMultiset]())
-  private val jDst: Array[mutable.LongMap[VMultiset]] =
-    Array.fill(n)(new mutable.LongMap[VMultiset]())
+  /** δD per node: (ts, value, mult). */
+  private val dRuns = new Array[Run](n)
+  /** δJ by source node: (ts, dst, value, mult). */
+  private val jSrc = new Array[Run](n)
+  /** δJ by destination node: (ts, value, mult), the aggregation's input.
+    * Several sources write a destination at the same timestamp, so an entry
+    * whose multiplicities cancel stays with multiplicity 0: the timestamp
+    * still has a difference set, which the upper-bound rule reads.
+    */
+  private val jDst = new Array[Run](n)
 
   private var version: Int = -1
   /** Highest iteration any version has run to. */
@@ -59,48 +68,19 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
   val traceJ: mutable.Map[Long, mutable.ArrayBuffer[(Int, Double, Int)]] = mutable.Map.empty
   val traceE: mutable.Map[Long, mutable.ArrayBuffer[(Int, Int, Int, Int)]] = mutable.Map.empty
 
-  // per-version scheduling state
-  private var joinSched: mutable.LongMap[mutable.HashSet[Int]] = null
-  private var minSched: mutable.LongMap[mutable.HashSet[Int]] = null
+  // per-version scheduling state, drained by processVersion
+  private val joinSched = new Frontier(n)
+  private val minSched = new Frontier(n)
   private var maxScheduled: Int = 0
   private val iterCap: Int = spec.maxIters
 
-  /** Running per-node accumulations for the version being processed.
-    * Within one version, Min reruns on a node happen at ascending
-    * iterations and all writes land at the current iteration, so the
-    * accumulated input (J) and output (D) multisets can be extended
-    * incrementally instead of re-summed from the full 2-D history at every
-    * rerun — the arrangement-style consolidation real DC systems rely on.
-    */
-  private final class AccState(var lastIter: Int, val ms: VMultiset)
-  private var accJ: mutable.LongMap[AccState] = null
-  private var accD: mutable.LongMap[AccState] = null
-
-  /** Accumulate `store(node)` over timestamps with iteration ≤ i into the
-    * per-version cache (building it on first use, extending it after).
-    */
-  private def accumulate(cache: mutable.LongMap[AccState],
-                         store: Array[mutable.LongMap[VMultiset]],
-                         node: Int, i: Int): VMultiset = {
-    var st = cache.getOrNull(node.toLong)
-    if (st == null || st.lastIter > i) {
-      st = new AccState(i, new VMultiset)
-      store(node).foreachEntry { (t, ms) =>
-        if (tsI(t) <= i) ms.foreach { case (v, m) => st.ms.update(v, st.ms.getOrElse(v, 0) + m) }
-      }
-      st.ms.filterInPlace((_, m) => m != 0)
-      cache(node.toLong) = st
-    } else if (st.lastIter < i) {
-      val lo = st.lastIter
-      store(node).foreachEntry { (t, ms) =>
-        val ti = tsI(t)
-        if (ti > lo && ti <= i) ms.foreach { case (v, m) => st.ms.update(v, st.ms.getOrElse(v, 0) + m) }
-      }
-      st.ms.filterInPlace((_, m) => m != 0)
-      st.lastIter = i
-    }
-    st.ms
-  }
+  // scratch reused by every rerun
+  private val dAcc = new Multiset
+  private val jAcc = new Multiset
+  private val merged = new Run(withDst = true)
+  /** Per destination, the last `rerunJoin` call that scheduled its Min. */
+  private val minStamp = new Array[Int](n)
+  private var joinCall = 0
 
   /** Readable trace accessors (iteration-major), for the Table 3 check. */
   def dDiffsAt(k: Int, i: Int): Seq[(Int, Double, Int)] =
@@ -109,41 +89,93 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     traceJ.getOrElse(ts(k, i), mutable.ArrayBuffer.empty).toSeq
 
   // ------------------------------------------------------------------
-  // Reassembly (Equations 1 and 2 of the paper)
+  // Runs and accumulations (Equations 1 and 2 of the paper)
   // ------------------------------------------------------------------
 
-  /** Reassemble D^node at ⟨k, i⟩: sum all differences at timestamps ≤ ⟨k,i⟩.
-    * Returns NaN if the node has no state yet.
+  private def runOf(runs: Array[Run], node: Int, withDst: Boolean): Run = {
+    var r = runs(node)
+    if (r == null) { r = new Run(withDst); runs(node) = r }
+    r
+  }
+
+  /** Add `sign` × every difference of `run` at an iteration ≤ i to `acc`,
+    * keyed by destination in δJ by source and by 0 otherwise. Every stored
+    * timestamp has a version ≤ the current one, so ⟨k, i'⟩ ≤ ⟨K, i⟩ reduces
+    * to i' ≤ i.
     */
-  private def reassembleD(node: Int, k: Int, i: Int): Double = {
-    if (i < 0) return Double.NaN
-    var value = Double.NaN
-    var best = 0
-    val acc = new VMultiset
-    dDiffs(node).foreachEntry { (t, ms) =>
-      if (leq(t, k, i)) ms.foreach { case (v, m) => acc.update(v, acc.getOrElse(v, 0) + m) }
+  private def addUpTo(run: Run, i: Int, sign: Int, acc: Multiset): Unit = if (run != null) {
+    var k = 0
+    while (k < run.size) {
+      if (tsI(run.ts(k)) <= i && run.mult(k) != 0)
+        acc.add(if (run.dst == null) 0 else run.dst(k), run.value(k), sign * run.mult(k))
+      k += 1
     }
-    acc.foreach { case (v, m) => if (m > 0 && best == 0) { value = v; best = m } }
-    value
+  }
+
+  /** Reassemble D^node at ⟨current version, i⟩: sum all differences at
+    * timestamps ≤ it. Returns NaN if the node has no state yet. After a
+    * version is processed, D at any timestamp is one value, so the sum must
+    * be empty or exactly {value: +1}.
+    */
+  private def reassembleD(node: Int, i: Int): Double = {
+    if (i < 0) return Double.NaN
+    dAcc.clear()
+    addUpTo(dRuns(node), i, 1, dAcc)
+    val k = singleton(dAcc)
+    if (k == -2) notSingleton(node, i)
+    if (k < 0) Double.NaN else dAcc.value(k)
+  }
+
+  /** The index of the only nonzero entry of `acc` if `acc` is exactly
+    * {value: +1}, -1 if it is empty, -2 otherwise.
+    */
+  private def singleton(acc: Multiset): Int = {
+    var found = -1
+    var k = 0
+    while (k < acc.size) {
+      val m = acc.mult(k)
+      if (m != 0) {
+        if (found >= 0 || m != 1) return -2
+        found = k
+      }
+      k += 1
+    }
+    found
+  }
+
+  private def notSingleton(node: Int, i: Int): Nothing = {
+    val sum = (0 until dAcc.size).collect { case k if dAcc.mult(k) != 0 => s"${dAcc.value(k)}: ${dAcc.mult(k)}" }
+    throw new IllegalArgumentException(
+      s"requirement failed: D of node $node at iteration $i sums to {${sum.mkString(", ")}}, not one value with multiplicity +1")
   }
 
   /** Aggregate a J multiset and combine with init — D = Agg(J) ∪ init. */
-  private def aggregate(node: Int, j: VMultiset): Double = {
+  private def aggregate(node: Int, j: Multiset): Double = {
     var acc = spec.aggZero
-    j.foreach { case (v, m) =>
-      var c = m
-      while (c > 0) { acc = spec.agg(acc, v); c -= 1 }
+    var k = 0
+    while (k < j.size) {
+      var c = j.mult(k)
+      while (c > 0) { acc = spec.agg(acc, j.value(k)); c -= 1 }
+      k += 1
     }
     spec.finish(acc, spec.init(node))
+  }
+
+  /** Add m × value to δJ^dst at t, consolidating with the tail. */
+  private def writeJDst(dst: Int, t: Long, value: Double, m: Int): Unit = {
+    val r = runOf(jDst, dst, withDst = false)
+    var k = r.tailFrom(t)
+    while (k < r.size && r.value(k) != value) k += 1
+    if (k < r.size) r.mult(k) += m else r.append(t, 0, value, m)
   }
 
   // ------------------------------------------------------------------
   // Scheduling
   // ------------------------------------------------------------------
 
-  private def schedule(map: mutable.LongMap[mutable.HashSet[Int]], node: Int, i: Int): Unit = {
+  private def schedule(f: Frontier, node: Int, i: Int): Unit = {
     if (i < 0 || i > iterCap) return
-    map.getOrElseUpdate(i.toLong, mutable.HashSet.empty[Int]) += node
+    f.add(i, node)
     if (i > maxScheduled) maxScheduled = i
   }
 
@@ -152,113 +184,142 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     */
   private def scheduleMin(v: Int, K: Int, i: Int): Unit = {
     schedule(minSched, v, i)
-    jDst(v).foreachKey { t => if (tsK(t) < K && tsI(t) > i) schedule(minSched, v, tsI(t)) }
+    val r = jDst(v)
+    if (r != null) {
+      var k = 0
+      while (k < r.size && tsK(r.ts(k)) < K) {
+        if (tsI(r.ts(k)) > i) schedule(minSched, v, tsI(r.ts(k)))
+        k += 1
+      }
+    }
   }
 
   /** Schedule Join(u) at ⟨K,i⟩ plus lubs with earlier-version δD^u diffs. */
   private def scheduleJoin(u: Int, K: Int, i: Int): Unit = {
     schedule(joinSched, u, i)
-    dDiffs(u).foreachKey { t => if (tsK(t) < K && tsI(t) + 1 > i) schedule(joinSched, u, tsI(t) + 1) }
+    val r = dRuns(u)
+    var k = 0
+    while (k < r.size && tsK(r.ts(k)) < K) {
+      if (tsI(r.ts(k)) + 1 > i) schedule(joinSched, u, tsI(r.ts(k)) + 1)
+      k += 1
+    }
   }
+
+  /** Schedule Min(dst) once per `rerunJoin` call that changes δJ^dst. */
+  private def touchMin(dst: Int, K: Int, i: Int): Unit =
+    if (minStamp(dst) != joinCall) { minStamp(dst) = joinCall; scheduleMin(dst, K, i) }
 
   // ------------------------------------------------------------------
   // Operator reruns
   // ------------------------------------------------------------------
 
+  // The Join's walk over u's out-edges, as one reusable visitor: rerunJoin
+  // sets the source's state before each walk.
+  private var joinState = 0.0
+  private var joinSrc = 0
+  private val joinOut: EdgeVisitor = (dst, w, l) => {
+    val c = spec.contrib(joinSrc, joinState, w, l)
+    if (c != INF) jAcc.add(dst, c, 1)
+  }
+
   private def rerunJoin(u: Int, K: Int, i: Int): Unit = {
     val t = ts(K, i)
+    joinCall += 1
+    if (joinCall == Int.MaxValue) { java.util.Arrays.fill(minStamp, 0); joinCall = 1 }
     // Retract any diff previously written at this exact timestamp (overwrite
     // semantics): remove from the source index and from the dst mirrors.
-    val dirtyDsts = mutable.HashSet.empty[Int]
-    jSrc(u).remove(t).foreach { old =>
-      nDiffs -= old.size
-      old.foreach { case ((dst, v), m) =>
-        val ms = jDst(dst).getOrElseUpdate(t, new VMultiset)
-        ms.update(v, ms.getOrElse(v, 0) - m)
-        if (ms(v) == 0) ms.remove(v)
-        dirtyDsts += dst
+    val src = jSrc(u)
+    if (src != null) {
+      val from = src.tailFrom(t)
+      var k = from
+      while (k < src.size) {
+        writeJDst(src.dst(k), t, src.value(k), -src.mult(k))
+        touchMin(src.dst(k), K, i)
+        k += 1
       }
+      nDiffs -= src.size - from
+      src.size = from
     }
     // New contributions of u at ⟨K, i⟩ from D^u at ⟨K, i-1⟩ and E_K.
-    val dU = reassembleD(u, K, i - 1)
-    val newC = new CMultiset
+    jAcc.clear()
+    val dU = reassembleD(u, i - 1)
     if (!dU.isNaN && dU != INF) {
-      val it = view.outEdges(u)
-      while (it.hasNext) {
-        val (dst, w, l) = it.next()
-        val c = spec.contrib(u, dU, w, l)
-        if (c != INF) newC.update((dst, c), newC.getOrElse((dst, c), 0) + 1)
-      }
+      joinSrc = u; joinState = dU
+      view.visitOut(u, joinOut)
     }
     // δ = new − Σ_{s ≤ t} δ_s (t itself already retracted above).
-    val delta = newC
-    jSrc(u).foreachEntry { (s, ms) =>
-      if (leq(s, K, i)) ms.foreach { case (kv, m) => delta.update(kv, delta.getOrElse(kv, 0) - m) }
-    }
-    delta.filterInPlace((_, m) => m != 0)
-    if (delta.nonEmpty) {
-      jSrc(u)(t) = delta.clone()
-      nDiffs += delta.size
-      delta.foreach { case ((dst, v), m) =>
-        val ms = jDst(dst).getOrElseUpdate(t, new VMultiset)
-        ms.update(v, ms.getOrElse(v, 0) + m)
-        if (ms(v) == 0) ms.remove(v)
-        dirtyDsts += dst
+    addUpTo(src, i, -1, jAcc)
+    var k = 0
+    while (k < jAcc.size) {
+      val m = jAcc.mult(k)
+      if (m != 0) {
+        val dst = jAcc.key(k)
+        val v = jAcc.value(k)
+        runOf(jSrc, u, withDst = true).append(t, dst, v, m)
+        nDiffs += 1
+        writeJDst(dst, t, v, m)
         if (captureTrace)
           traceJ.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((dst, v, m))
+        touchMin(dst, K, i)
       }
+      k += 1
     }
-    dirtyDsts.foreach(dst => scheduleMin(dst, K, i))
   }
 
   private def rerunMin(v: Int, K: Int, i: Int): Unit = {
     val t = ts(K, i)
     // Retract existing diff at exactly t (overwrite semantics). Within a
     // version each (v, i) is rerun at most once, so nothing from THIS
-    // version can be stored at t; the remove is a guard for idempotence.
-    dDiffs(v).remove(t).foreach(old => nDiffs -= old.size)
+    // version can be stored at t; the retraction is a guard for idempotence.
+    val d = runOf(dRuns, v, withDst = false)
+    val from = d.tailFrom(t)
+    nDiffs -= d.size - from
+    d.size = from
     // Iteration 0 is the initial-state injection (J carries no Join output
     // there); later iterations aggregate the accumulated Join input.
-    val newD = if (i == 0) spec.init(v) else aggregate(v, accumulate(accJ, jDst, v, i))
+    val newD =
+      if (i == 0) spec.init(v)
+      else { jAcc.clear(); addUpTo(jDst(v), i, 1, jAcc); aggregate(v, jAcc) }
     // Equation 2: δO_t = Op(...) − Σ_{s ≤ t} δO_s, as a FULL multiset
     // subtraction — across versions the accumulated set can transiently
     // hold several values with mixed multiplicities, all of which the new
     // difference must compensate.
-    val acc = accumulate(accD, dDiffs, v, i)
+    dAcc.clear()
+    addUpTo(d, i, 1, dAcc)
     // Suppress no-op diffs (within spec.same tolerance) only when the
     // accumulation is already the clean singleton {old: +1}.
-    val unchanged = acc.size == 1 && acc.head._2 == 1 && spec.same(acc.head._1, newD)
-    if (!unchanged) {
-      val delta = acc.map { case (value, m) => (value, -m) }
-      delta.update(newD, delta.getOrElse(newD, 0) + 1)
-      delta.filterInPlace((_, m) => m != 0)
-      if (delta.nonEmpty) {
-        dDiffs(v)(t) = delta
-        nDiffs += delta.size
-        // keep the running accumulation coherent: the cache was extended to
-        // iteration i *before* this write, so fold the new delta in by hand.
-        delta.foreach { case (value, m) => acc.update(value, acc.getOrElse(value, 0) + m) }
-        acc.filterInPlace((_, m) => m != 0)
-        if (captureTrace) delta.foreach { case (value, m) =>
-          traceD.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((v, value, m))
-        }
-        if (i > maxIterSeen) maxIterSeen = i
-        // δD direct rule: Join(v) consumes D^v at i, producing output at i+1,
-        // plus lubs with earlier-version δD^v (handled inside scheduleJoin).
-        scheduleJoin(v, K, i + 1)
+    val old = singleton(dAcc)
+    if (old >= 0 && spec.same(dAcc.value(old), newD)) return
+    dAcc.negate()
+    dAcc.add(0, newD, 1)
+    var wrote = false
+    var k = 0
+    while (k < dAcc.size) {
+      val m = dAcc.mult(k)
+      if (m != 0) {
+        d.append(t, 0, dAcc.value(k), m)
+        nDiffs += 1
+        wrote = true
+        if (captureTrace)
+          traceD.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((v, dAcc.value(k), m))
       }
+      k += 1
+    }
+    if (wrote) {
+      if (i > maxIterSeen) maxIterSeen = i
+      // δD direct rule: Join(v) consumes D^v at i, producing output at i+1,
+      // plus lubs with earlier-version δD^v (handled inside scheduleJoin).
+      scheduleJoin(v, K, i + 1)
     }
   }
 
   private def processVersion(K: Int): Unit = {
-    accJ = new mutable.LongMap[AccState]()
-    accD = new mutable.LongMap[AccState]()
     var i = 0
     while (i <= maxScheduled && i <= iterCap) {
-      val js = joinSched.remove(i.toLong).orNull
-      if (js != null) js.foreach(u => rerunJoin(u, K, i))
-      val ms = minSched.remove(i.toLong).orNull
-      if (ms != null) ms.foreach(v => rerunMin(v, K, i))
+      var u = joinSched.poll(i)
+      while (u >= 0) { rerunJoin(u, K, i); u = joinSched.poll(i) }
+      var v = minSched.poll(i)
+      while (v >= 0) { rerunMin(v, K, i); v = minSched.poll(i) }
       i += 1
     }
   }
@@ -271,7 +332,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
   def initialRun(): Unit = {
     require(version == -1, "initialRun must be called exactly once")
     version = 0
-    joinSched = new mutable.LongMap(); minSched = new mutable.LongMap(); maxScheduled = 0
+    maxScheduled = 0
     if (captureTrace) {
       val t0 = ts(0, 0)
       view.graph.edgeList.foreach { case (s, d, w, _) =>
@@ -298,8 +359,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     require(version >= 0, "call initialRun first")
     version += 1
     val K = version
-    joinSched = new mutable.LongMap(); minSched = new mutable.LongMap(); maxScheduled = 0
-    val srcs = mutable.HashSet.empty[Int]
+    maxScheduled = 0
     batch.foreach { u =>
       // Deleting an absent edge changes nothing: no δE, no reruns.
       val changed =
@@ -310,15 +370,16 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
           traceE.getOrElseUpdate(ts(K, 0), mutable.ArrayBuffer.empty) +=
             ((u.src, u.dst, u.weight, if (u.add) 1 else -1))
         eDiffCount += 1
-        srcs ++= view.touchedSrcs(u.src, u.dst, u.label)
+        // δE direct rule + lub with every existing δD^u iteration: Join(u)
+        // rerun at ⟨K, j+1⟩ for each iteration j at which D^u has a difference.
+        val srcs = view.touchedSrcs(u.src, u.dst, u.label)
+        while (srcs.hasNext) {
+          val s = srcs.next()
+          val d = dRuns(s)
+          var k = 0
+          while (d != null && k < d.size) { schedule(joinSched, s, tsI(d.ts(k)) + 1); k += 1 }
+        }
       }
-    }
-    // δE direct rule + lub with every existing δD^u iteration: Join(u)
-    // rerun at ⟨K, j+1⟩ for each iteration j at which D^u has a difference.
-    srcs.foreach { u =>
-      val iters = mutable.HashSet.empty[Int]
-      dDiffs(u).foreachKey(t => iters += tsI(t))
-      iters.foreach(j => schedule(joinSched, u, j + 1))
     }
     processVersion(K)
     if (mergeEvery > 0 && K % mergeEvery == 0) mergeVersions()
@@ -329,44 +390,55 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     * periodic-merging optimization, §4.2).
     */
   def mergeVersions(): Unit = {
-    def mergeMapV(m: mutable.LongMap[VMultiset]): Unit = {
-      val byIter = mutable.LongMap.empty[VMultiset]
-      m.foreachEntry { (t, ms) =>
-        val acc = byIter.getOrElseUpdate(tsI(t).toLong, new VMultiset)
-        ms.foreach { case (v, c) => acc.update(v, acc.getOrElse(v, 0) + c) }
-      }
-      m.clear()
-      byIter.foreachEntry { (i, ms) =>
-        ms.filterInPlace((_, c) => c != 0)
-        if (ms.nonEmpty) m(ts(version, i.toInt)) = ms
-      }
-    }
-    def mergeMapC(m: mutable.LongMap[CMultiset]): Unit = {
-      val byIter = mutable.LongMap.empty[CMultiset]
-      m.foreachEntry { (t, ms) =>
-        val acc = byIter.getOrElseUpdate(tsI(t).toLong, new CMultiset)
-        ms.foreach { case (kv, c) => acc.update(kv, acc.getOrElse(kv, 0) + c) }
-      }
-      m.clear()
-      byIter.foreachEntry { (i, ms) =>
-        ms.filterInPlace((_, c) => c != 0)
-        if (ms.nonEmpty) m(ts(version, i.toInt)) = ms
-      }
-    }
     var v = 0
     while (v < n) {
-      mergeMapV(dDiffs(v)); mergeMapV(jDst(v)); mergeMapC(jSrc(v))
+      collapse(dRuns(v)); collapse(jDst(v)); collapse(jSrc(v))
       v += 1
     }
     recountDiffs()
+  }
+
+  /** Collapse a run in place into one consolidated difference set per
+    * iteration, at ⟨current version, iteration⟩, iterations ascending.
+    */
+  private def collapse(r: Run): Unit = if (r != null) {
+    merged.size = 0
+    var iter = nextIter(r, -1)
+    while (iter >= 0) {
+      jAcc.clear()
+      var k = 0
+      while (k < r.size) {
+        if (tsI(r.ts(k)) == iter) jAcc.add(if (r.dst == null) 0 else r.dst(k), r.value(k), r.mult(k))
+        k += 1
+      }
+      k = 0
+      while (k < jAcc.size) {
+        if (jAcc.mult(k) != 0) merged.append(ts(version, iter), jAcc.key(k), jAcc.value(k), jAcc.mult(k))
+        k += 1
+      }
+      iter = nextIter(r, iter)
+    }
+    r.copyFrom(merged)
+  }
+
+  /** The smallest iteration in `r` above `above`, or -1. */
+  private def nextIter(r: Run, above: Int): Int = {
+    var best = -1
+    var k = 0
+    while (k < r.size) {
+      val i = tsI(r.ts(k))
+      if (i > above && (best < 0 || i < best)) best = i
+      k += 1
+    }
+    best
   }
 
   private def recountDiffs(): Unit = {
     var c = 0L
     var v = 0
     while (v < n) {
-      dDiffs(v).foreachValue(ms => c += ms.size)
-      jSrc(v).foreachValue(ms => c += ms.size)
+      if (dRuns(v) != null) c += dRuns(v).size
+      if (jSrc(v) != null) c += jSrc(v).size
       v += 1
     }
     nDiffs = c
@@ -382,7 +454,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
   def jDiffCount: Long = {
     var c = 0L
     var v = 0
-    while (v < n) { jSrc(v).foreachValue(ms => c += ms.size); v += 1 }
+    while (v < n) { if (jSrc(v) != null) c += jSrc(v).size; v += 1 }
     c
   }
 
@@ -394,10 +466,65 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     val out = new Array[Double](n)
     var v = 0
     while (v < n) {
-      val d = reassembleD(v, version, maxIterSeen)
+      val d = reassembleD(v, maxIterSeen)
       out(v) = if (d.isNaN) spec.init(v) else d
       v += 1
     }
     out
+  }
+
+  /** Test hook: append a raw δD difference at ⟨current version, iter⟩,
+    * bypassing the operators. `iter` must be ≥ every iteration written in
+    * the current version, so the run stays in timestamp order.
+    */
+  private[repro] def injectD(node: Int, iter: Int, value: Double, mult: Int): Unit =
+    runOf(dRuns, node, withDst = false).append(ts(version, iter), 0, value, mult)
+}
+
+object Vdc {
+  /** One node's run of differences in one collection: parallel primitive
+    * arrays (timestamp, destination, value, multiplicity) in ascending
+    * timestamp order; `dst` is null outside δJ by source.
+    */
+  private final class Run(withDst: Boolean) {
+    var ts = new Array[Long](2)
+    var dst: Array[Int] = if (withDst) new Array[Int](2) else null
+    var value = new Array[Double](2)
+    var mult = new Array[Int](2)
+    var size = 0
+
+    def append(t: Long, d: Int, v: Double, m: Int): Unit = {
+      if (size == ts.length) resize(size * 2)
+      ts(size) = t
+      if (dst != null) dst(size) = d
+      value(size) = v
+      mult(size) = m
+      size += 1
+    }
+
+    /** Index of the first entry at `t`, which must be the newest timestamp
+      * of the run: entries at it form the tail.
+      */
+    def tailFrom(t: Long): Int = {
+      var k = size
+      while (k > 0 && ts(k - 1) == t) k -= 1
+      k
+    }
+
+    /** Overwrite this run with `o`, which holds at most `size` entries. */
+    def copyFrom(o: Run): Unit = {
+      System.arraycopy(o.ts, 0, ts, 0, o.size)
+      if (dst != null) System.arraycopy(o.dst, 0, dst, 0, o.size)
+      System.arraycopy(o.value, 0, value, 0, o.size)
+      System.arraycopy(o.mult, 0, mult, 0, o.size)
+      size = o.size
+    }
+
+    private def resize(cap: Int): Unit = {
+      ts = java.util.Arrays.copyOf(ts, cap)
+      if (dst != null) dst = java.util.Arrays.copyOf(dst, cap)
+      value = java.util.Arrays.copyOf(value, cap)
+      mult = java.util.Arrays.copyOf(mult, cap)
+    }
   }
 }

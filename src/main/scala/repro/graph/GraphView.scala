@@ -47,6 +47,14 @@ trait GraphView {
     */
   def outEdges(node: Int): Iterator[(Int, Int, Byte)]
 
+  /** Hand each of `outEdges(node)` to `f`, in the same order; defaults and
+    * overrides as for `visitIn`.
+    */
+  def visitOut(node: Int, f: EdgeVisitor): Unit = {
+    val it = outEdges(node)
+    while (it.hasNext) { val (x, wt, l) = it.next(); f.visit(x, wt, l) }
+  }
+
   /** Degree used by the Degree drop policy for this node. */
   def policyDegree(node: Int): Int
 
@@ -72,6 +80,7 @@ final class DirectView(val graph: DynamicGraph) extends GraphView {
   def outEdges(node: Int): Iterator[(Int, Int, Byte)] = graph.outAdj.edges(node)
   override def visitIn(node: Int, f: EdgeVisitor): Unit = graph.inAdj.visit(node, f)
   override def visitOutNodes(node: Int, f: NodeVisitor): Unit = graph.outAdj.visitNodes(node, f)
+  override def visitOut(node: Int, f: EdgeVisitor): Unit = graph.outAdj.visit(node, f)
   def policyDegree(node: Int): Int = graph.degree(node)
   def touchedDsts(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator.single(v)
   def touchedSrcs(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator.single(u)
@@ -91,6 +100,9 @@ final class UndirectedView(val graph: DynamicGraph) extends GraphView {
   }
   override def visitOutNodes(node: Int, f: NodeVisitor): Unit = {
     graph.outAdj.visitNodes(node, f); graph.inAdj.visitNodes(node, f)
+  }
+  override def visitOut(node: Int, f: EdgeVisitor): Unit = {
+    graph.outAdj.visit(node, f); graph.inAdj.visit(node, f)
   }
   def policyDegree(node: Int): Int = graph.degree(node)
   def touchedDsts(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator(u, v)

@@ -1,0 +1,51 @@
+package repro.core
+
+import java.lang.management.ManagementFactory
+import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
+import repro.graph._
+
+/** Heap bytes the engines allocate, as this thread's allocation counter
+  * sees them. The counter counts every object the code creates in the
+  * interpreter and before escape analysis had a chance to remove it, so
+  * these bounds hold whatever the JIT does.
+  */
+class AllocationSpec extends AnyFunSuite {
+  private val threads = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+
+  private def allocated(body: => Unit): Long = {
+    val a0 = threads.getCurrentThreadAllocatedBytes
+    body
+    threads.getCurrentThreadAllocatedBytes - a0
+  }
+
+  test("constructing a VDC over an edgeless 100,000-vertex graph allocates under 8 MB") {
+    val spec = Queries.sssp(new DynamicGraph(100000), source = 0)
+    var vdc: Vdc = null
+    val bytes = allocated { vdc = new Vdc(spec) }
+    assert(vdc.diffCount == 0)
+    assert(bytes < 8L * 1024 * 1024, s"allocated $bytes B")
+  }
+
+  test("plain JOD SSSP allocates under 256 B per batch once warm") {
+    val rnd = new Random(5)
+    val nv = 2000
+    val g = new DynamicGraph(nv)
+    (0 until 8000).foreach(_ => g.addEdge(rnd.nextInt(nv), rnd.nextInt(nv), 1 + rnd.nextInt(10)))
+    val jod = new Jod(Queries.sssp(g, source = 0))
+    jod.initialRun()
+    // A shortcut from the source to its farthest reachable vertex: inserting
+    // it lowers distances behind it, deleting it raises them again.
+    val states = jod.currentStates()
+    val far = states.indices.filter(v => !states(v).isInfinite).maxBy(states(_))
+    val insert = List(EdgeUpdate(0, far, 1, 0, add = true))
+    val delete = List(EdgeUpdate(0, far, 1, 0, add = false))
+    def toggle(times: Int): Unit = (0 until times).foreach { _ => jod.applyBatch(insert); jod.applyBatch(delete) }
+    toggle(500)
+    val before = jod.totalDiffsWritten
+    val batches = 2000
+    val bytes = allocated(toggle(batches / 2))
+    assert(jod.totalDiffsWritten > before, "the batches must change states")
+    assert(bytes.toDouble / batches < 256, s"allocated ${bytes.toDouble / batches} B per batch")
+  }
+}

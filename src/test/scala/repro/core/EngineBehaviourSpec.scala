@@ -197,4 +197,19 @@ class EngineBehaviourSpec extends AnyFunSuite {
     assert(tracedE == tracedBefore)
     assert(vdc.currentStates().toSeq == ScratchEngine.states(Queries.sssp(g, 0)).toSeq)
   }
+
+  test("VDC requires every D accumulation it reads to be one value with multiplicity +1") {
+    for ((extra, mult) <- Seq((1.0, 1), (0.0, 1), (1.0, -1))) {
+      val (g, ups) = randomDyn(31)
+      val vdc = new Vdc(Queries.sssp(g, 0))
+      vdc.initialRun()
+      ups.grouped(4).foreach(b => vdc.applyBatch(b))
+      val node = 3
+      val d = vdc.currentStates()(node)
+      // {d: +1} becomes {d: +1, d + 1: +1}, {d: +2} or {d: +1, d + 1: -1}
+      vdc.injectD(node, vdc.maxIterSeen, d + extra, mult)
+      val e = intercept[IllegalArgumentException](vdc.currentStates())
+      assert(e.getMessage.contains(s"node $node"), e.getMessage)
+    }
+  }
 }

@@ -50,8 +50,10 @@ final class Jod(
   private val view = spec.view
   private val n = view.numNodes
 
-  /** Per-node eager-merged positive differences for D. */
-  private[repro] val diffs: Array[DiffList] = Array.fill(n)(new DiffList)
+  /** Per-node eager-merged positive differences for D; `DiffList.Empty`
+    * until the node's first stored difference.
+    */
+  private[repro] val diffs: Array[DiffList] = Array.fill(n)(DiffList.Empty)
 
   /** Highest iteration with a stored or dropped difference. */
   var maxIterSeen: Int = 0
@@ -77,7 +79,9 @@ final class Jod(
   private val memoTable = if (canDrop) new LongDoubleMap else null
   private val frontier = new Frontier(n)
   /** node -> lowest i0 UB-scanned this batch (Int.MaxValue: not scanned). */
-  private val scannedFrom: Array[Int] = Array.fill(n)(Int.MaxValue)
+  private val scannedFrom: Array[Int] = {
+    val a = new Array[Int](n); java.util.Arrays.fill(a, Int.MaxValue); a // Array.fill would box each Int
+  }
   private val scanned = new IntBuffer // nodes whose scannedFrom is set
   private val seeds = new IntBuffer
   private var maxScheduled: Int = 0
@@ -207,9 +211,11 @@ final class Jod(
       droppedVT.add(node, i)
       droppedCount += 1
     } else {
-      val before = diffs(node).size
-      diffs(node).put(i, value)
-      storedDiffCount += diffs(node).size - before
+      var dl = diffs(node)
+      if (dl eq DiffList.Empty) { dl = new DiffList; diffs(node) = dl }
+      val before = dl.size
+      dl.put(i, value)
+      storedDiffCount += dl.size - before
     }
     if (i > maxIterSeen) maxIterSeen = i
   }
@@ -313,11 +319,16 @@ final class Jod(
   def diffEntries(node: Int): IndexedSeq[(Int, Double)] = diffs(node).entries
 
   /** Final states (at the current horizon) for every node. */
-  def currentStates(): Array[Double] = {
+  def currentStates(): Array[Double] = statesAt(math.max(1, maxIterSeen))
+
+  /** `access(v, i)` for every node v, sharing one memo across the read so
+    * that dropped-difference cascades stay polynomial.
+    */
+  def statesAt(i: Int): Array[Double] = {
     startMemo()
     val out = new Array[Double](n)
     var v = 0
-    while (v < n) { out(v) = access(v, math.max(1, maxIterSeen)); v += 1 }
+    while (v < n) { out(v) = access(v, i); v += 1 }
     memo = null
     out
   }

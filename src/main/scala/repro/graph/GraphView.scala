@@ -116,7 +116,7 @@ final class UndirectedView(val graph: DynamicGraph) extends GraphView {
   */
 final class ProductView(val graph: DynamicGraph, val automaton: Automaton) extends GraphView {
   private val nq = automaton.numStates
-  def numNodes: Int = graph.numVertices * nq
+  val numNodes: Int = ProductView.numNodes(graph.numVertices, nq)
   @inline def nodeOf(v: Int, q: Int): Int = v * nq + q
   @inline def vertexOf(node: Int): Int = node / nq
   @inline def stateOf(node: Int): Int = node % nq
@@ -152,4 +152,14 @@ final class ProductView(val graph: DynamicGraph, val automaton: Automaton) exten
       .distinct.iterator.map(q => nodeOf(u, q))
 
   def baseVertex(node: Int): Int = vertexOf(node)
+}
+
+object ProductView {
+  /** |V| * |Q| product nodes, which must fit the `Int` node ids. */
+  def numNodes(numVertices: Int, numStates: Int): Int = {
+    val nodes = numVertices.toLong * numStates
+    require(nodes <= Int.MaxValue,
+      s"$numVertices vertices x $numStates automaton states = $nodes product nodes, more than Int ids hold")
+    nodes.toInt
+  }
 }

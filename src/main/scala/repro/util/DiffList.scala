@@ -10,10 +10,12 @@ package repro.util
   * earlier one), so an absolute state per changed iteration is all that is
   * stored.
   */
-final class DiffList {
-  private var iters: Array[Int] = new Array[Int](2)
-  private var vals: Array[Double] = new Array[Double](2)
+final class DiffList private (capacity: Int) {
+  private var iters: Array[Int] = new Array[Int](capacity)
+  private var vals: Array[Double] = new Array[Double](capacity)
   private var n: Int = 0
+
+  def this() = this(2)
 
   /** Number of stored differences. */
   def size: Int = n
@@ -53,6 +55,7 @@ final class DiffList {
     val idx = floorIndex(i)
     if (idx >= 0 && iters(idx) == i) { vals(idx) = v; return }
     if (n == iters.length) {
+      if (n == 0) throw new UnsupportedOperationException("DiffList.Empty is shared and read-only")
       iters = java.util.Arrays.copyOf(iters, n * 2)
       vals = java.util.Arrays.copyOf(vals, n * 2)
     }
@@ -84,4 +87,12 @@ final class DiffList {
 
   /** Largest stored iteration, or -1 if empty. */
   def maxIter: Int = if (n == 0) -1 else iters(n - 1)
+}
+
+object DiffList {
+  /** The shared, read-only empty list: a node without differences points
+    * here until its first stored write, so an engine pays one reference per
+    * node, not a list. `put` on it throws; every read sees an empty list.
+    */
+  val Empty: DiffList = new DiffList(0)
 }

@@ -27,6 +27,38 @@ class AllocationSpec extends AnyFunSuite {
     assert(bytes < 8L * 1024 * 1024, s"allocated $bytes B")
   }
 
+  test("constructing a JOD over an edgeless 100,000-vertex graph allocates under 2 MB") {
+    val spec = Queries.sssp(new DynamicGraph(100000), source = 0)
+    var jod: Jod = null
+    val bytes = allocated { jod = new Jod(spec) }
+    assert(jod.storedDiffCount == 0 && jod.diffs.forall(_ eq repro.util.DiffList.Empty))
+    assert(bytes < 2L * 1024 * 1024, s"allocated $bytes B")
+  }
+
+  test("building a 2,000-vertex, 8,000-edge graph through fromEdges allocates under 320 KB") {
+    val rnd = new Random(11)
+    val nv = 2000
+    val edges = List.fill(8000)((rnd.nextInt(nv), rnd.nextInt(nv), 1 + rnd.nextInt(10), rnd.nextInt(4).toByte))
+    // Per direction the packed store allocates a degree array and an array of
+    // references (16 KB with compressed references), a 16-byte header for
+    // each vertex with an edge (3,929 of the 4,000 vertex-directions here)
+    // and 8 bytes per edge entry: 32 + 63 + 128 KB for both directions, plus
+    // the build's two 8-KB degree counts, 239 KB (255 KB measured on
+    // OpenJDK 17). Three parallel arrays per vertex and direction (neighbour
+    // Int, weight Int, label Byte) allocated 493 KB.
+    var g: DynamicGraph = null
+    val bytes = allocated { g = DynamicGraph.fromEdges(nv, edges) }
+    assert(g.numEdges == 8000)
+    assert(bytes < 320L * 1024, s"allocated $bytes B")
+  }
+
+  test("a graph of more than 2^24 vertices is refused before its arrays are allocated") {
+    val bytes = allocated {
+      intercept[IllegalArgumentException](new DynamicGraph((1 << 24) + 1))
+    }
+    assert(bytes < 1024 * 1024, s"allocated $bytes B") // its arrays would take 256 MB
+  }
+
   test("plain JOD SSSP allocates under 256 B per batch once warm") {
     val rnd = new Random(5)
     val nv = 2000

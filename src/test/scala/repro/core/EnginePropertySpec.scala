@@ -9,7 +9,9 @@ import repro.graph._
   * configuration — VDC, the DD stand-in (VDC merging every 3 versions),
   * plain JOD, Det-Drop, and Prob-Drop with a Bloom filter so small that most
   * lookups are false positives — must equal `ScratchEngine` on the updated
-  * graph after every batch, for SSSP, K-hop, WCC and PageRank.
+  * graph after every batch, for SSSP, K-hop, WCC and PageRank. The JOD
+  * configurations must also match scratch's trace at every level: a wrong
+  * intermediate state can hide at the fixpoint and surface batches later.
   *
   * Graphs have up to 60 vertices. Edges are drawn from a small pool, so
   * parallel edges, self-loops, deletes of absent edges, delete-then-reinsert
@@ -20,7 +22,11 @@ import repro.graph._
 class EnginePropertySpec extends AnyFunSuite {
   import EnginePropertySpec._
 
-  private type Engine = (Seq[EdgeUpdate] => Unit, () => Array[Double])
+  /** A configuration under test; `jod` is set when its states can be read
+    * at every level.
+    */
+  private final case class Engine(applyBatch: Seq[EdgeUpdate] => Unit, states: () => Array[Double],
+                                  jod: Option[Jod] = None)
 
   private val configs: Seq[(String, IFESpec => Engine)] = Seq(
     "vdc" -> (s => vdc(new Vdc(s))),
@@ -31,8 +37,8 @@ class EnginePropertySpec extends AnyFunSuite {
       (s => jod(new Jod(s, DropPolicy.Random(0.5, seed = 5), new ProbDroppedVT(16, bitsPerElement = 1)))),
   )
 
-  private def vdc(e: Vdc): Engine = { e.initialRun(); (b => e.applyBatch(b), () => e.currentStates()) }
-  private def jod(e: Jod): Engine = { e.initialRun(); (b => e.applyBatch(b), () => e.currentStates()) }
+  private def vdc(e: Vdc): Engine = { e.initialRun(); Engine(e.applyBatch, () => e.currentStates()) }
+  private def jod(e: Jod): Engine = { e.initialRun(); Engine(e.applyBatch, () => e.currentStates(), Some(e)) }
 
   /** The first node whose state differs from scratch, as a message. */
   private def mismatch(got: Array[Double], exp: Array[Double], eps: Double): Option[String] =
@@ -41,15 +47,34 @@ class EnginePropertySpec extends AnyFunSuite {
       else !(got(v).isInfinite && exp(v).isInfinite) && !(math.abs(got(v) - exp(v)) <= eps)
     }.map(v => s"node $v: got ${got(v)}, scratch ${exp(v)}")
 
+  /** The first level i and node v where `jod.access(v, i)` differs from
+    * D_i(v), folded from scratch's per-level trace, up to one level past
+    * both horizons.
+    */
+  private def traceMismatch(jod: Jod, spec: IFESpec, trace: IndexedSeq[Map[Int, Double]],
+                            eps: Double): Option[String] = {
+    val d = Array.tabulate(spec.view.numNodes)(spec.init)
+    val horizon = math.max(trace.size - 1, jod.maxIterSeen) + 1
+    (0 to horizon).iterator.flatMap { i =>
+      if (i > 0 && i < trace.size) trace(i).foreach { case (v, x) => d(v) = x }
+      mismatch(jod.statesAt(i), d, eps).map(m => s"level $i, $m")
+    }.nextOption()
+  }
+
   private def equalsScratch(mkSpec: DynamicGraph => IFESpec, eps: Double)(s: Scenario): Prop = {
     val failures = configs.iterator.flatMap { case (name, build) =>
       val g = DynamicGraph.fromEdges(s.numVertices, s.initial)
       val ref = DynamicGraph.fromEdges(s.numVertices, s.initial)
-      val (applyBatch, states) = build(mkSpec(g))
-      def check(at: String): Option[String] =
-        mismatch(states(), ScratchEngine.states(mkSpec(ref)), eps).map(m => s"$name after $at: $m")
+      val engine = build(mkSpec(g))
+      def check(at: String): Option[String] = {
+        val refSpec = mkSpec(ref)
+        val scratch = ScratchEngine.run(refSpec, withTrace = engine.jod.isDefined)
+        mismatch(engine.states(), scratch.states, eps)
+          .orElse(engine.jod.flatMap(traceMismatch(_, refSpec, scratch.trace, eps)))
+          .map(m => s"$name after $at: $m")
+      }
       check("initial run").orElse(s.batches.iterator.zipWithIndex.map { case (b, k) =>
-        applyBatch(b); ref.apply(b); check(s"batch $k")
+        engine.applyBatch(b); ref.apply(b); check(s"batch $k")
       }.collectFirst { case Some(m) => m })
     }
     if (failures.hasNext) Prop.falsified :| failures.next() else Prop.passed

@@ -45,6 +45,14 @@ class GraphStorePropertySpec extends AnyFunSuite {
     })
   }
 
+  test("a packed edge entry decodes to its neighbour, weight and label") {
+    val node = Gen.oneOf(Gen.choose(0, Adjacency.MaxVertices - 1), Gen.oneOf(0, Adjacency.MaxVertices - 1))
+    check(Prop.forAll(node, weights, labels) { (v, w, l) =>
+      val e = Adjacency.pack(v, w, l)
+      Adjacency.nodeOf(e) == v && Adjacency.weightOf(e) == w && Adjacency.labelOf(e) == l
+    })
+  }
+
   test("visitIn and visitOutNodes walk exactly what inEdges and outNodes yield, in order") {
     check(Prop.forAll(scenarios) { s =>
       val g = new DynamicGraph(s.numVertices)
@@ -67,16 +75,20 @@ class GraphStorePropertySpec extends AnyFunSuite {
 object GraphStorePropertySpec {
   final case class Scenario(numVertices: Int, ops: List[EdgeUpdate])
 
+  /** Weights and labels at the edges of their packed fields, besides small
+    * ones that make equal and near-equal edges likely.
+    */
+  val weights: Gen[Int] = Gen.oneOf(Gen.choose(1, 2), Gen.oneOf(Int.MinValue, -1, 0, Int.MaxValue))
+  val labels: Gen[Byte] = Gen.oneOf(Gen.choose(0, 1), Gen.oneOf(-128, -1, 127)).map(_.toByte)
+
   /** 1–6 vertices; updates add or delete edges drawn from a pool of at most
     * six (src, dst, weight, label) tuples, where src == dst is as likely as
-    * any other destination.
+    * any other destination and the largest vertex id is drawn often.
     */
   val scenarios: Gen[Scenario] = for {
     nv <- Gen.choose(1, 6)
-    edge = for {
-      s <- Gen.choose(0, nv - 1); d <- Gen.choose(0, nv - 1)
-      w <- Gen.choose(1, 2); l <- Gen.choose(0, 1)
-    } yield (s, d, w, l.toByte)
+    vertex = Gen.frequency(3 -> Gen.choose(0, nv - 1), 1 -> Gen.const(nv - 1))
+    edge = for { s <- vertex; d <- vertex; w <- weights; l <- labels } yield (s, d, w, l)
     pool <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, edge))
     ops <- Gen.listOf(for {
       (s, d, w, l) <- Gen.oneOf(pool)

@@ -49,6 +49,18 @@ class GraphViewSpec extends AnyFunSuite {
     assert(pv.baseVertex(pv.nodeOf(3, 1)) == 3)
   }
 
+  test("ProductView refuses a product node space that overflows Int ids") {
+    assert(ProductView.numNodes(1 << 24, 127) == 127 * (1 << 24))
+    assert(ProductView.numNodes(0, 1 << 20) == 0)
+    intercept[IllegalArgumentException](ProductView.numNodes(1 << 24, 128)) // 2^31
+    intercept[IllegalArgumentException](ProductView.numNodes(Int.MaxValue, 2))
+    // 2^16 vertices x 2^15 states = 2^31 product nodes, over a small store
+    val g = new DynamicGraph(1 << 16)
+    val many = Automaton(1 << 15, Seq((0, 0.toByte, 1)), accepting = Set(1))
+    intercept[IllegalArgumentException](new ProductView(g, many))
+    assert(new ProductView(g, Automaton(1 << 14, Seq((0, 0.toByte, 1)), Set(1))).numNodes == 1 << 30)
+  }
+
   test("views are live: graph mutations are visible immediately") {
     val g = mkGraph()
     val v = new DirectView(g)

@@ -70,4 +70,12 @@ class DiffListSpec extends AnyFunSuite {
     assert(!dl.remove(3))
     assert(dl.floorIndex(0) + 1 == dl.size)
   }
+
+  test("the shared empty list reads as empty and refuses writes") {
+    val dl = DiffList.Empty
+    assert(dl.isEmpty && dl.maxIter == -1 && dl.valueAt(5, 42.0) == 42.0)
+    assert(!dl.remove(3) && dl.entries.isEmpty)
+    intercept[UnsupportedOperationException](dl.put(1, 1.0))
+    assert(dl.isEmpty)
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{EdgeUpdate, EdgeVisitor, NodeVisitor}
+import repro.graph.{BatchDelta, EdgeUpdate, EdgeVisitor, NodeVisitor}
 import repro.util.{DiffList, Frontier, IntBuffer, LongDoubleMap, MemoryModel}
 
 /** DC^JOD with eager merging (paper §4–§5): the differential engine that
@@ -43,7 +43,7 @@ final class Jod(
     val spec: IFESpec,
     val policy: DropPolicy = DropPolicy.KeepAll,
     val droppedVT: DroppedVT = null,
-) {
+) extends Engine {
   require(spec.maxIters < (1 << 20),
     s"maxIters ${spec.maxIters} does not fit the 20-bit iteration of the packed (node, iteration) keys")
 
@@ -67,6 +67,7 @@ final class Jod(
   var trackPerNode: Boolean = false
   lazy val perNodeRecomputes: Array[Long] = new Array[Long](n)
   var totalDiffsWritten: Long = 0L
+  def jDiffCount: Long = 0L
 
   private val canDrop = droppedVT != null && (policy ne DropPolicy.KeepAll)
 
@@ -238,16 +239,17 @@ final class Jod(
     memo = null
   }
 
-  /** Differentially maintain the computation for one batch of edge updates.
-    * The graph is mutated here; callers must not pre-apply the batch.
+  /** Differentially maintain the computation for one batch of edge updates,
+    * which the graph has already applied.
     */
-  def applyBatch(batch: Seq[EdgeUpdate]): Unit = {
+  def absorb(delta: BatchDelta): Unit = {
     startMemo()
     maxScheduled = 0
 
-    batch.foreach(applyUpdate)
-    // δE direct rule + upper bounds; a repeated seed finds itself scanned.
     var k = 0
+    while (k < delta.size) { seed(delta(k)); k += 1 }
+    // δE direct rule + upper bounds; a repeated seed finds itself scanned.
+    k = 0
     while (k < seeds.size) { scheduleWithUB(seeds(k), 1); k += 1 }
     seeds.clear()
 
@@ -293,23 +295,19 @@ final class Jod(
     if (memo != null) memo.clear()
   }
 
-  /** Mutate the graph for one update and seed the nodes it touches. */
-  private val applyUpdate: EdgeUpdate => Unit = { u =>
-    // PageRank: an edge at u changes u's out-degree, hence u's
-    // contribution to *all* its out-neighbours (old and new).
-    if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
-    if (u.add) spec.view.graph.addEdge(u.src, u.dst, u.weight, u.label)
-    else spec.view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
-    if (spec.edgeTouchesAllOutNeighbours) seedOutNodes(u)
-    val dsts = view.touchedDsts(u.src, u.dst, u.label)
-    while (dsts.hasNext) seeds.add(dsts.next())
+  /** Seed the nodes an update touches (δE direct rule). PageRank: an edge
+    * at u changes u's out-degree, hence its contribution to every old and
+    * new out-neighbour; the graph holds the new ones, and an old one that
+    * is gone lost its edge to a delete of this batch, which seeds it.
+    */
+  private def seed(u: EdgeUpdate): Unit = {
+    if (spec.edgeTouchesAllOutNeighbours) {
+      val srcs = view.touchedSrcs(u.src, u.dst, u.label)
+      while (srcs.hasNext) view.visitOutNodes(srcs.next(), addSeed)
+    }
+    view.visitTouchedDsts(u.src, u.dst, u.label, addSeed)
   }
-
   private val addSeed: NodeVisitor = v => seeds.add(v)
-  private def seedOutNodes(u: EdgeUpdate): Unit = {
-    val srcs = view.touchedSrcs(u.src, u.dst, u.label)
-    while (srcs.hasNext) view.visitOutNodes(srcs.next(), addSeed)
-  }
 
   /** The level the δD direct rule schedules out-neighbours at. */
   private var nextLevel = 0

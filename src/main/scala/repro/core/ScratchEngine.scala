@@ -1,6 +1,16 @@
 package repro.core
 
 import scala.collection.mutable
+import repro.graph.BatchDelta
+
+/** SCRATCH as an [[Engine]]: no differences, a full recompute per batch. */
+final class ScratchEngine(val spec: IFESpec) extends Engine {
+  private var states = Array.emptyDoubleArray
+  def initialRun(): Unit = states = ScratchEngine.states(spec)
+  def absorb(delta: BatchDelta): Unit = initialRun()
+  def currentStates(): Array[Double] = states.clone()
+  val memoryBytes, storedDiffCount, droppedCount, recomputeCount, jDiffCount = 0L
+}
 
 /** Non-incremental execution of an IFE dataflow — the paper's SCRATCH
   * baseline (§6.1.3): "an IFE-like label propagation algorithm ... identical

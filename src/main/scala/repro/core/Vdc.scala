@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.graph.{EdgeUpdate, EdgeVisitor}
+import repro.graph.{BatchDelta, EdgeVisitor}
 import repro.util.{Frontier, MemoryModel, Multiset}
 
 /** Vanilla Differential Computation (paper §3.3) for the IFE dataflow —
@@ -31,7 +31,7 @@ import repro.util.{Frontier, MemoryModel, Multiset}
   * version dimension like the DD system does (§4.2) — our stand-in for the
   * DD baseline (see DESIGN.md substitutions).
   */
-final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Boolean = false) {
+final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Boolean = false) extends Engine {
   import Queries.INF
   import Vdc.Run
 
@@ -354,18 +354,17 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     processVersion(0)
   }
 
-  /** Maintain the computation for one batch of edge updates (version k+1). */
-  def applyBatch(batch: Seq[EdgeUpdate]): Unit = {
+  /** Maintain the computation for one batch the graph applied (version k+1). */
+  def absorb(delta: BatchDelta): Unit = {
     require(version >= 0, "call initialRun first")
     version += 1
     val K = version
     maxScheduled = 0
-    batch.foreach { u =>
+    var b = 0
+    while (b < delta.size) {
+      val u = delta(b)
       // Deleting an absent edge changes nothing: no δE, no reruns.
-      val changed =
-        if (u.add) { view.graph.addEdge(u.src, u.dst, u.weight, u.label); true }
-        else view.graph.removeEdge(u.src, u.dst, u.weight, u.label)
-      if (changed) {
+      if (delta.tookEffect(b)) {
         if (captureTrace)
           traceE.getOrElseUpdate(ts(K, 0), mutable.ArrayBuffer.empty) +=
             ((u.src, u.dst, u.weight, if (u.add) 1 else -1))
@@ -380,6 +379,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
           while (d != null && k < d.size) { schedule(joinSched, s, tsI(d.ts(k)) + 1); k += 1 }
         }
       }
+      b += 1
     }
     processVersion(K)
     if (mergeEvery > 0 && K % mergeEvery == 0) mergeVersions()
@@ -449,6 +449,9 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     * incrementally on every write.
     */
   def diffCount: Long = eDiffCount + nDiffs
+
+  def storedDiffCount: Long = diffCount
+  def droppedCount: Long = 0L; def recomputeCount: Long = 0L
 
   /** Count of δJ difference tuples alone (the collection JOD eliminates). */
   def jDiffCount: Long = {

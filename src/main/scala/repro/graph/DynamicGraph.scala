@@ -103,6 +103,20 @@ object Adjacency {
   @inline private[graph] def weightOf(e: Long): Int = (e >>> 32).toInt
 }
 
+/** A batch as a [[DynamicGraph]] applied it: the updates in order, and
+  * whether each took effect (a delete of an absent edge does not).
+  */
+final class BatchDelta private[graph] () {
+  private val updates = new scala.collection.mutable.ArrayBuffer[EdgeUpdate]
+  private val took = new java.util.BitSet
+  def size: Int = updates.size
+  def apply(k: Int): EdgeUpdate = updates(k)
+  def tookEffect(k: Int): Boolean = took.get(k)
+
+  private[graph] def clear(): Unit = { updates.clear(); took.clear() }
+  private[graph] def add(u: EdgeUpdate, effect: Boolean): Unit = { took.set(updates.size, effect); updates += u }
+}
+
 /** Mutable directed property graph with both out- and in-adjacency,
   * supporting edge insertion/deletion — the base collection E of the IFE
   * dataflow. Vertex set is fixed up front ([0, numVertices)); vertices
@@ -150,17 +164,25 @@ final class DynamicGraph(val numVertices: Int) {
     true
   }
 
-  /** Apply a batch of updates in order. */
-  def apply(batch: Seq[EdgeUpdate]): Unit = batch.foreach { u =>
-    if (u.add) addEdge(u.src, u.dst, u.weight, u.label)
-    else removeEdge(u.src, u.dst, u.weight, u.label)
+  private val delta = new BatchDelta
+  private val applyOne: EdgeUpdate => Unit = u =>
+    delta.add(u, if (u.add) { addEdge(u.src, u.dst, u.weight, u.label); true }
+                 else removeEdge(u.src, u.dst, u.weight, u.label))
+
+  /** Apply a batch in order. The delta is this graph's and valid until the
+    * next `apply`, which reuses it: a warm `apply` allocates nothing.
+    */
+  def apply(batch: Seq[EdgeUpdate]): BatchDelta = {
+    delta.clear()
+    batch.foreach(applyOne)
+    delta
   }
 
   /** All current edges as update-tuples (for export to DataFrames/oracles). */
   def edgeList: Seq[(Int, Int, Int, Byte)] =
     (0 until numVertices).flatMap(v => outEdges(v).map { case (d, w, l) => (v, d, w, l) })
 
-  /** Deep copy (used to hand a private graph to each concurrent query). */
+  /** Deep copy, with the edges of each vertex in the same order. */
   def copy(): DynamicGraph = DynamicGraph.fromEdges(numVertices, edgeList)
 
   /** Degree value at the given percentile in [0, 100] (for τ_max). */

@@ -63,6 +63,14 @@ trait GraphView {
     */
   def touchedDsts(u: Int, v: Int, label: Byte): Iterator[Int]
 
+  /** Hand each of `touchedDsts(u, v, label)` to `f`; defaults and overrides
+    * as for `visitIn`.
+    */
+  def visitTouchedDsts(u: Int, v: Int, label: Byte, f: NodeVisitor): Unit = {
+    val it = touchedDsts(u, v, label)
+    while (it.hasNext) f.visit(it.next())
+  }
+
   /** Nodes whose Join operator must rerun when the base edge (u, v, label)
     * is inserted or deleted (the δE direct rule of VDC is keyed by source).
     */
@@ -83,6 +91,7 @@ final class DirectView(val graph: DynamicGraph) extends GraphView {
   override def visitOut(node: Int, f: EdgeVisitor): Unit = graph.outAdj.visit(node, f)
   def policyDegree(node: Int): Int = graph.degree(node)
   def touchedDsts(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator.single(v)
+  override def visitTouchedDsts(u: Int, v: Int, label: Byte, f: NodeVisitor): Unit = f.visit(v)
   def touchedSrcs(u: Int, v: Int, label: Byte): Iterator[Int] = Iterator.single(u)
   def baseVertex(node: Int): Int = node
 }

@@ -4,14 +4,14 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic graph generators, built as Catalyst DataFrame programs in the
-  * style of [[repro.SynthData]]. Deterministic in (parameters, seed): the
-  * generators use a fixed partition count so `rand(seed)` draws are stable
-  * across machines and runs, which lets the DuckDB oracle and the local
-  * engines see byte-identical edge lists.
+/** Synthetic graph generators, built as Catalyst DataFrame programs.
+  * Deterministic in (parameters, seed): the generators use a fixed
+  * partition count so `rand(seed)` draws are stable across machines and
+  * runs, which lets the DuckDB oracle and the local engines see
+  * byte-identical edge lists.
   *
   * Power-law degree skew is produced with an inverse-CDF zipf draw
-  * (rank ≈ (1/u)^(1/α)), the same device `SynthData.zipfKeys` uses.
+  * (rank ≈ (1/u)^(1/α)).
   */
 object SynthGraphs {
   /** Fixed partitioning so rand(seed) is reproducible regardless of cores. */

@@ -173,7 +173,7 @@ object Experiments {
       val jod = Workload.run(EngineKind.Jod, nV, initial, batches, 2, spec)
       // avg differences per vertex with non-zero diffs (the Fig 5 annotation)
       val g = DynamicGraph.fromEdges(nV, initial)
-      val e = new Jod(Queries.sssp(g, sourceOf(nV, 0)))
+      val e = EngineKind.build(EngineKind.Jod, spec(g, 0), EngineKind.querySeed(0)).asInstanceOf[Jod]
       e.initialRun(); batches.foreach(e.applyBatch)
       val lists = e.diffs.filter(_.size > 0)
       val dpv = if (lists.isEmpty) 0.0 else lists.map(_.size).sum.toDouble / lists.length
@@ -216,8 +216,7 @@ object Experiments {
 
     // Fig 6b: per-degree-bucket recomputation counts with Det+Random p=0.1
     val g = data.graph()
-    val e = new Jod(Queries.khop(g, sourceOf(data.numVertices, 0), 5),
-      DropPolicy.Random(0.1, 77), new DetDroppedVT)
+    val e = EngineKind.build(EngineKind.DetDrop(0.1, degreeBased = false), spec(g, 0), seed = 77L).asInstanceOf[Jod]
     e.trackPerNode = true
     e.initialRun(); batches.foreach(e.applyBatch); e.currentStates()
     val buckets = Seq(1, 10, 100, 1000, 10000)
@@ -406,20 +405,10 @@ object Experiments {
       val r = Workload.run(kind, data.numVertices, data.initial, batches, 2, spec)
       // correctness: re-run one engine of this kind and diff against scratch
       val g = data.graph()
-      val e = kind match {
-        case EngineKind.Vdc => Left(new Vdc(spec(g, 0)))
-        case EngineKind.Jod => Right(new Jod(spec(g, 0)))
-        case EngineKind.DetDrop(p, _) =>
-          Right(new Jod(spec(g, 0), DropPolicy.Degree(p, 2, g.degreePercentile(80), 1000L),
-            new DetDroppedVT))
-        case EngineKind.ProbDrop(p, _, cap) =>
-          Right(new Jod(spec(g, 0), DropPolicy.Degree(p, 2, g.degreePercentile(80), 1000L),
-            new ProbDroppedVT(cap)))
-        case _ => throw new IllegalStateException
-      }
-      e.fold(_.initialRun(), _.initialRun())
-      batches.foreach(b => e.fold(_.applyBatch(b), _.applyBatch(b)))
-      val got = e.fold(_.currentStates(), _.currentStates())
+      val e = EngineKind.build(kind, spec(g, 0), EngineKind.querySeed(0))
+      e.initialRun()
+      batches.foreach(e.applyBatch)
+      val got = e.currentStates()
       val exp = ScratchEngine.states(spec(g, 0))
       val correct = got.sameElements(exp)
       Fig12Row(ratio, kind.label, r.batchesMs, r.memBytes, correct)

@@ -3,34 +3,6 @@ package repro.harness
 import repro.core._
 import repro.graph.{DynamicGraph, EdgeUpdate}
 
-/** Engine configurations under test — the GraphflowDB configurations and
-  * baselines of §6.1.3.
-  */
-sealed trait EngineKind { def label: String }
-object EngineKind {
-  /** Re-execute the static algorithm after every batch. */
-  case object Scratch extends EngineKind { def label = "SCRATCH" }
-  /** Vanilla DC, 2-D timestamps, never merged. */
-  case object Vdc extends EngineKind { def label = "VDC" }
-  /** DD stand-in: vanilla DC with periodic merging (see DESIGN.md). */
-  case object Dd extends EngineKind { def label = "DD" }
-  /** Join-on-Demand with eager merging. */
-  case object Jod extends EngineKind { def label = "JOD" }
-  /** JOD + deterministic partial dropping. */
-  final case class DetDrop(p: Double, degreeBased: Boolean) extends EngineKind {
-    def label = s"DET-DROP(p=$p,${if (degreeBased) "degree" else "random"})"
-  }
-  /** JOD + probabilistic (Bloom) partial dropping. The Bloom filter is
-    * sized for the expected drop volume at lite scale (8K entries ≈ 10 KB);
-    * overfilling only raises the false-positive rate, never breaks
-    * correctness.
-    */
-  final case class ProbDrop(p: Double, degreeBased: Boolean, bloomCapacity: Long = 8192L)
-      extends EngineKind {
-    def label = s"PROB-DROP(p=$p,${if (degreeBased) "degree" else "random"})"
-  }
-}
-
 /** Outcome of maintaining `queries` concurrent queries over a batch stream.
   *
   * @param oomAtBatch index of the batch at which the memory budget was
@@ -54,9 +26,10 @@ final case class RunResult(config: String, queries: Int,
 object Workload {
   private def now(): Long = System.nanoTime()
 
-  /** Run one configuration.
+  /** Run one configuration: `numQueries` engines over one graph, which
+    * applies each batch once for all of them.
     *
-    * @param mkSpec query factory: (private graph copy, query index) => spec
+    * @param mkSpec query factory: (the shared graph, query index) => spec
     */
   def run(kind: EngineKind,
           numVertices: Int,
@@ -64,82 +37,26 @@ object Workload {
           batches: Seq[Seq[EdgeUpdate]],
           numQueries: Int,
           mkSpec: (DynamicGraph, Int) => IFESpec,
-          budgetBytes: Option[Long] = None): RunResult = kind match {
+          budgetBytes: Option[Long] = None): RunResult = {
+    val g = DynamicGraph.fromEdges(numVertices, initial)
+    val engines = (0 until numQueries).map(q => EngineKind.build(kind, mkSpec(g, q), EngineKind.querySeed(q)))
+    def total(count: Engine => Long): Long = engines.iterator.map(count).sum
+    def overBudget: Boolean = budgetBytes.exists(total(_.memoryBytes) > _)
 
-    case EngineKind.Scratch =>
-      val g = DynamicGraph.fromEdges(numVertices, initial)
-      var t0 = now()
-      (0 until numQueries).foreach(q => ScratchEngine.states(mkSpec(g, q)))
-      val initialMs = (now() - t0) / 1e6
-      t0 = now()
-      batches.foreach { b =>
-        g.apply(b)
-        (0 until numQueries).foreach(q => ScratchEngine.states(mkSpec(g, q)))
-      }
-      RunResult(kind.label, numQueries, initialMs, (now() - t0) / 1e6, 0L, 0L, 0L, 0L, 0L, -1)
-
-    case EngineKind.Vdc | EngineKind.Dd =>
-      val mergeEvery = if (kind == EngineKind.Dd) 10 else 0
-      val engines = (0 until numQueries).map { q =>
-        new Vdc(mkSpec(DynamicGraph.fromEdges(numVertices, initial), q), mergeEvery)
-      }
-      var t0 = now()
-      engines.foreach(_.initialRun())
-      val initialMs = (now() - t0) / 1e6
-      var oom = -1
-      t0 = now()
-      var bi = 0
-      while (bi < batches.size && oom < 0) {
-        engines.foreach(_.applyBatch(batches(bi)))
-        budgetBytes.foreach { budget =>
-          if (engines.map(_.memoryBytes).sum > budget) oom = bi
-        }
-        bi += 1
-      }
-      RunResult(kind.label, numQueries, initialMs, (now() - t0) / 1e6,
-        engines.map(_.memoryBytes).sum, engines.map(_.diffCount).sum, 0L, 0L,
-        engines.map(_.jDiffCount).sum, oom)
-
-    case _ =>
-      val engines = (0 until numQueries).map { q =>
-        val g = DynamicGraph.fromEdges(numVertices, initial)
-        val spec = mkSpec(g, q)
-        val (policy, vt): (DropPolicy, DroppedVT) = kind match {
-          case EngineKind.Jod => (DropPolicy.KeepAll, null)
-          case EngineKind.DetDrop(p, degree) =>
-            (mkPolicy(g, p, degree, seedOf(q)), new DetDroppedVT)
-          case EngineKind.ProbDrop(p, degree, cap) =>
-            (mkPolicy(g, p, degree, seedOf(q)), new ProbDroppedVT(cap))
-          case _ => throw new IllegalStateException
-        }
-        new Jod(spec, policy, vt)
-      }
-      var t0 = now()
-      engines.foreach(_.initialRun())
-      val initialMs = (now() - t0) / 1e6
-      var oom = -1
-      budgetBytes.foreach { budget =>
-        if (engines.map(_.memoryBytes).sum > budget) oom = 0
-      }
-      t0 = now()
-      var bi = 0
-      while (bi < batches.size && oom < 0) {
-        engines.foreach(_.applyBatch(batches(bi)))
-        budgetBytes.foreach { budget =>
-          if (engines.map(_.memoryBytes).sum > budget) oom = bi
-        }
-        bi += 1
-      }
-      RunResult(kind.label, numQueries, initialMs, (now() - t0) / 1e6,
-        engines.map(_.memoryBytes).sum, engines.map(_.storedDiffCount).sum,
-        engines.map(_.droppedCount).sum, engines.map(_.recomputeCount).sum, 0L, oom)
+    var t0 = now()
+    engines.foreach(_.initialRun())
+    val initialMs = (now() - t0) / 1e6
+    var oom = if (overBudget) 0 else -1
+    t0 = now()
+    batches.iterator.zipWithIndex.takeWhile(_ => oom < 0).foreach { case (b, bi) =>
+      val delta = g.apply(b)
+      engines.foreach(_.absorb(delta))
+      if (overBudget) oom = bi
+    }
+    RunResult(kind.label, numQueries, initialMs, (now() - t0) / 1e6,
+      total(_.memoryBytes), total(_.storedDiffCount), total(_.droppedCount),
+      total(_.recomputeCount), total(_.jDiffCount), oom)
   }
-
-  private def seedOf(q: Int): Long = 1000L + q
-
-  private def mkPolicy(g: DynamicGraph, p: Double, degreeBased: Boolean, seed: Long): DropPolicy =
-    if (degreeBased) DropPolicy.Degree(p, tauMin = 2, tauMax = g.degreePercentile(80), seed)
-    else DropPolicy.Random(p, seed)
 
   /** Format a RunResult as a fixed-width report row. */
   def row(r: RunResult): String =

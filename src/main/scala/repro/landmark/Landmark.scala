@@ -1,8 +1,8 @@
 package repro.landmark
 
 import scala.collection.mutable
-import repro.core.{IFESpec, Jod, Queries, ScratchEngine}
-import repro.graph.{DynamicGraph, EdgeUpdate, GraphView, DirectView}
+import repro.core.{Engine, EngineKind, Queries, ScratchEngine}
+import repro.graph.{DynamicGraph, EdgeUpdate}
 
 /** Landmark shortest-path indices, differentially maintained with Diff-IFE,
   * pruning a from-scratch SPSP — the paper's §6.6 Scratch-Landmark system.
@@ -21,51 +21,29 @@ import repro.graph.{DynamicGraph, EdgeUpdate, GraphView, DirectView}
 final class Landmark(val graph: DynamicGraph, val landmarks: Seq[Int]) {
   import Queries.INF
 
-  /** Reversed-graph view over the same mutable graph (kept in sync by
-    * reversing each update before applying).
-    */
-  private val reversed = new DynamicGraph(graph.numVertices)
-  graph.edgeList.foreach { case (s, d, w, l) => reversed.addEdge(d, s, w, l) }
+  /** The reversed graph (kept in sync by applying each update reversed). */
+  private val reversed =
+    DynamicGraph.fromEdges(graph.numVertices, graph.edgeList.map { case (s, d, w, l) => (d, s, w, l) })
 
-  private val fwd: Seq[Jod] = landmarks.map { l =>
-    val e = new Jod(Queries.sssp(graph, l)); e.initialRun(); e
+  private def sssp(g: DynamicGraph, l: Int): Engine = {
+    val e = EngineKind.build(EngineKind.Jod, Queries.sssp(g, l), seed = 0L); e.initialRun(); e
   }
-  private val bwd: Seq[Jod] = landmarks.map { l =>
-    val e = new Jod(Queries.sssp(reversed, l)); e.initialRun(); e
-  }
+  private val fwd: Seq[Engine] = landmarks.map(sssp(graph, _))
+  private val bwd: Seq[Engine] = landmarks.map(sssp(reversed, _))
 
   private var fwdStates: Array[Array[Double]] = fwd.map(_.currentStates()).toArray
   private var bwdStates: Array[Array[Double]] = bwd.map(_.currentStates()).toArray
 
-  /** Differentially maintain every landmark index for one batch.
-    * NOTE: the *forward* engines mutate `graph`; the backward engines
-    * mutate `reversed` with the flipped updates.
+  /** Apply one batch to `graph` and, reversed, to `reversed`, and
+    * differentially maintain every landmark index over them.
     */
   def applyBatch(batch: Seq[EdgeUpdate]): Unit = {
-    val rev = batch.map(u => u.copy(src = u.dst, dst = u.src))
-    // All forward engines share `graph`: only the first may mutate it.
-    applyShared(fwd, batch, graph)
-    applyShared(bwd, rev, reversed)
+    val delta = graph.apply(batch)
+    fwd.foreach(_.absorb(delta))
+    val rev = reversed.apply(batch.map(u => u.copy(src = u.dst, dst = u.src)))
+    bwd.foreach(_.absorb(rev))
     fwdStates = fwd.map(_.currentStates()).toArray
     bwdStates = bwd.map(_.currentStates()).toArray
-  }
-
-  /** Apply a batch to engines sharing one mutable graph: mutate once, then
-    * run each engine's maintenance with the graph already updated — we
-    * temporarily un-apply and re-apply per engine to keep Jod's contract
-    * (engines mutate the graph themselves).
-    */
-  private def applyShared(engines: Seq[Jod], batch: Seq[EdgeUpdate], g: DynamicGraph): Unit = {
-    engines.zipWithIndex.foreach { case (e, i) =>
-      if (i > 0) {
-        // undo the mutation the previous engine performed
-        batch.reverse.foreach { u =>
-          if (u.add) g.removeEdge(u.src, u.dst, u.weight, u.label)
-          else g.addEdge(u.src, u.dst, u.weight, u.label)
-        }
-      }
-      e.applyBatch(batch)
-    }
   }
 
   /** Total stored differences across all landmark engines. */

@@ -8,8 +8,8 @@ import repro.graph.{DynamicGraph, EdgeUpdate}
   * cluster. The paper's scalability axis (Table 1, Fig 7) is "how many
   * concurrently-maintained queries fit"; the queries are independent, so a
   * GDBMS embedded in Spark parallelizes them as tasks: the (broadcast)
-  * graph + update stream is shared, each task owns one query's
-  * differential state.
+  * graph + update stream is shared, each partition keeps one graph for its
+  * queries, and each query owns its differential state.
   */
 object QueryFleet {
 
@@ -19,11 +19,11 @@ object QueryFleet {
   final case class QueryResult(source: Int, initialMs: Double, batchesMs: Double,
                                memBytes: Long, storedDiffs: Long, checksum: Double)
 
-  /** Maintain one JOD SSSP/K-hop query per source, across the cluster.
+  /** Maintain one query of configuration `kind` per source, across the
+    * cluster: each partition builds one graph for its queries, applies each
+    * batch to it once, and times every query's maintenance on its own.
     *
-    * @param mkSpec  (graph, source) => spec, executed on executors
-    * @param dropP   dropping probability (0 = plain JOD); Degree policy
-    * @param useProb Prob-Drop (Bloom) instead of Det-Drop
+    * @param mkSpec (graph, source) => spec, executed on executors
     */
   def run(spark: SparkSession,
           numVertices: Int,
@@ -31,38 +31,35 @@ object QueryFleet {
           batches: Seq[Seq[EdgeUpdate]],
           sources: Seq[Int],
           mkSpec: (DynamicGraph, Int) => IFESpec,
-          dropP: Double = 0.0,
-          useProb: Boolean = false): Seq[QueryResult] = {
+          kind: EngineKind = EngineKind.Jod): Seq[QueryResult] = {
     val sc = spark.sparkContext
     val bInitial = sc.broadcast(initial.toArray)
     val bBatches = sc.broadcast(batches.map(_.toArray).toArray)
-    sc.parallelize(sources, math.min(sources.size, sc.defaultParallelism))
-      .map { source =>
+    sc.parallelize(sources.zipWithIndex, math.min(sources.size, sc.defaultParallelism))
+      .mapPartitions { queries =>
         val g = DynamicGraph.fromEdges(numVertices, bInitial.value.toSeq)
-        val spec = mkSpec(g, source)
-        val tauMax = g.degreePercentile(80)
-        val (policy, vt) =
-          if (dropP <= 0) (DropPolicy.KeepAll, null)
-          else if (useProb)
-            (DropPolicy.Degree(dropP, 2, tauMax): DropPolicy, new ProbDroppedVT(8192): DroppedVT)
-          else (DropPolicy.Degree(dropP, 2, tauMax): DropPolicy, new DetDroppedVT: DroppedVT)
-        val engine = new Jod(spec, policy, vt)
-        val t0 = System.nanoTime()
-        engine.initialRun()
-        val t1 = System.nanoTime()
-        bBatches.value.foreach(b => engine.applyBatch(b.toSeq))
-        val t2 = System.nanoTime()
-        val states = engine.currentStates()
-        var checksum = 0.0
-        var i = 0
-        while (i < states.length) {
-          if (!states(i).isInfinite) checksum += states(i) * (i % 97 + 1)
-          i += 1
+        val fleet = queries.toArray
+        val engines = fleet.map { case (source, q) => EngineKind.build(kind, mkSpec(g, source), EngineKind.querySeed(q)) }
+        val initialNs = engines.map(e => timed(e.initialRun()))
+        val batchesNs = new Array[Long](engines.length)
+        bBatches.value.foreach { b =>
+          val delta = g.apply(b.toSeq)
+          engines.indices.foreach(i => batchesNs(i) += timed(engines(i).absorb(delta)))
         }
-        QueryResult(source, (t1 - t0) / 1e6, (t2 - t1) / 1e6,
-          engine.memoryBytes, engine.storedDiffCount, checksum)
+        fleet.indices.iterator.map { i =>
+          val states = engines(i).currentStates()
+          val checksum = states.indices.collect { case v if !states(v).isInfinite => states(v) * (v % 97 + 1) }.sum
+          QueryResult(fleet(i)._1, initialNs(i) / 1e6, batchesNs(i) / 1e6,
+            engines(i).memoryBytes, engines(i).storedDiffCount, checksum)
+        }
       }
       .collect()
       .toSeq
+  }
+
+  private def timed(body: => Unit): Long = {
+    val t0 = System.nanoTime()
+    body
+    System.nanoTime() - t0
   }
 }

@@ -3,28 +3,31 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Static IFE evaluation as iterative Catalyst DataFrame programs — the
-  * distributed form of the Scratch baseline. Each IFE iteration is one
-  * join-aggregate round: frontier ⋈ edges → candidate states → min-merge,
-  * repeated to fixpoint. Lineage is truncated every round with
-  * `localCheckpoint` so plans stay bounded.
+/** IFE evaluation as iterative Catalyst DataFrame programs — the
+  * distributed form of the Scratch baseline, plus insert-only maintenance
+  * of SSSP from a seeded frontier. Each IFE iteration is one join-aggregate
+  * round: frontier ⋈ edges → candidate states → min-merge, repeated to
+  * fixpoint. Lineage is truncated every round with `localCheckpoint` so
+  * plans stay bounded.
   *
   * Input edge frames use columns (src, dst, weight, label); results are
   * (v, dist) with `dist` the query's vertex state.
   */
 object SparkIFE {
-  /** Run min-aggregation IFE: `relax` maps the joined (frontier × edges)
-    * round to candidate (v, dist) rows.
+  /** Run min-aggregation IFE from the states `dist` and the candidate
+    * (v, dist) rows `cand`: each round keeps the candidates that improve a
+    * state, merges them in, and relaxes the next round's candidates from
+    * them (`relax` maps a frontier of (v, dist) rows to candidate rows),
+    * until no state improves.
     */
-  private def minLoop(spark: SparkSession, init: DataFrame,
+  private def minLoop(dist0: DataFrame, cand0: DataFrame,
                       relax: DataFrame => DataFrame, maxIters: Int): DataFrame = {
-    var dist = init.localCheckpoint(true)
-    var frontier = dist
+    var dist = dist0
+    var cand = cand0
     var i = 0
     var done = false
     while (!done && i < maxIters) {
       i += 1
-      val cand = relax(frontier)
       // improvements: candidates strictly better than the current state
       val improved = cand
         .groupBy("v").agg(min("dist") as "dist")
@@ -37,27 +40,42 @@ object SparkIFE {
         dist = dist.unionByName(improved)
           .groupBy("v").agg(min("dist") as "dist")
           .localCheckpoint(true)
-        frontier = improved
+        cand = relax(improved)
       }
     }
     dist
   }
 
+  /** Min-aggregation IFE from the initial states `init`. */
+  private def fromScratch(init: DataFrame, relax: DataFrame => DataFrame, maxIters: Int): DataFrame = {
+    val dist = init.localCheckpoint(true)
+    minLoop(dist, relax(dist), relax, maxIters)
+  }
+
+  private def ssspRelax(edges: DataFrame): DataFrame => DataFrame =
+    f => f.join(edges, f("v") === edges("src"))
+      .select(edges("dst") as "v", (f("dist") + edges("weight")) as "dist")
+
   /** SSSP distances from `source` over weighted edges. */
   def sssp(spark: SparkSession, edges: DataFrame, source: Int, maxIters: Int = 10000): DataFrame = {
     import spark.implicits._
-    val init = Seq((source, 0.0)).toDF("v", "dist")
-    minLoop(spark, init,
-      f => f.join(edges, f("v") === edges("src"))
-        .select(edges("dst") as "v", (f("dist") + edges("weight")) as "dist"),
-      maxIters)
+    fromScratch(Seq((source, 0.0)).toDF("v", "dist"), ssspRelax(edges), maxIters)
   }
+
+  /** Maintain SSSP distances `prev` (v, dist) after `newEdges` were
+    * inserted into `edges`: the first round relaxes only the inserted edges,
+    * so the loop touches only the affected neighbourhood (DC's localization
+    * property, §3.3). Deletions raise states, which this monotone loop
+    * cannot express; they run through the local JOD/VDC engines.
+    */
+  def maintainSssp(edges: DataFrame, newEdges: DataFrame, prev: DataFrame,
+                   maxIters: Int = 10000): DataFrame =
+    minLoop(prev, ssspRelax(newEdges)(prev), ssspRelax(edges), maxIters)
 
   /** K-hop: vertices within k hops of `source`, with hop distance. */
   def khop(spark: SparkSession, edges: DataFrame, source: Int, k: Int): DataFrame = {
     import spark.implicits._
-    val init = Seq((source, 0.0)).toDF("v", "dist")
-    minLoop(spark, init,
+    fromScratch(Seq((source, 0.0)).toDF("v", "dist"),
       f => f.join(edges, f("v") === edges("src"))
         .where(f("dist") + 1 <= k)
         .select(edges("dst") as "v", (f("dist") + lit(1.0)) as "dist"),
@@ -74,7 +92,7 @@ object SparkIFE {
       .unionByName(sym.select(col("dst") as "v"))
       .distinct()
       .select(col("v"), col("v").cast("double") as "dist")
-    minLoop(spark, init,
+    fromScratch(init,
       f => f.join(sym, f("v") === sym("src")).select(sym("dst") as "v", f("dist")),
       maxIters)
   }
@@ -88,7 +106,7 @@ object SparkIFE {
     import spark.implicits._
     val nq = 64 // automaton states are tiny; pack node = v * nq + q
     val init = Seq((source * nq, 0.0)).toDF("v", "dist") // start state q0 = 0
-    val dist = minLoop(spark, init,
+    val dist = fromScratch(init,
       f => f
         .withColumn("bv", (f("v") / nq).cast("int"))
         .withColumn("q", f("v") % nq)

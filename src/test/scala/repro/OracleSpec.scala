@@ -1,34 +1,29 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, count}
+import repro.graph.SynthGraphs
+
 /** The DuckDB oracle must catch wrong results, not just bless everything,
-  * and the provided TPC-H-lite generators must satisfy it on real
-  * aggregations (scaffold sanity: SynthData + Oracle work end to end).
+  * and must agree with Spark on real aggregations and joins over an edge
+  * table from the graph generators.
   */
 class OracleSpec extends SparkSpec {
 
+  private lazy val edges: DataFrame =
+    SynthGraphs.edges(spark, nV = 200, nE = 1000, alpha = 1.8, weighted = true, seed = 3L).cache()
+
+  private val outDegreeSql = "SELECT src, COUNT(*) AS cnt FROM edges GROUP BY src"
+
   test("assertEquivalent passes on a matching aggregate") {
-    val s = spark
-    import s.implicits._
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val agg = li.groupBy("l_returnflag")
-      .agg(org.apache.spark.sql.functions.count("*") as "cnt")
-      .select($"l_returnflag", $"cnt")
-    Oracle.assertEquivalent(agg,
-      "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+    val outDegree = edges.groupBy("src").agg(count("*") as "cnt")
+    Oracle.assertEquivalent(outDegree, outDegreeSql, "edges" -> edges)
   }
 
   test("assertEquivalent catches a wrong result") {
-    val s = spark
-    import s.implicits._
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val wrong = li.groupBy("l_returnflag")
-      .agg((org.apache.spark.sql.functions.count("*") + 1) as "cnt")
-      .select($"l_returnflag", $"cnt")
+    val wrong = edges.groupBy("src").agg((count("*") + 1) as "cnt")
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, outDegreeSql, "edges" -> edges)
     }
   }
 
@@ -41,32 +36,17 @@ class OracleSpec extends SparkSpec {
     }
   }
 
-  test("TPC-H-lite generators are deterministic and join-compatible") {
-    val s = spark
-    import s.implicits._
-    val o1 = SynthData.orders(spark, sf = 0.001).agg(org.apache.spark.sql.functions.sum("o_orderkey")).collect()(0).getLong(0)
-    val o2 = SynthData.orders(spark, sf = 0.001).agg(org.apache.spark.sql.functions.sum("o_orderkey")).collect()(0).getLong(0)
-    assert(o1 == o2)
-    // lineitem orderkeys all resolve against orders (FK synthesis holds)
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val orders = SynthData.orders(spark, sf = 0.001)
-    val dangling = li.join(orders, li("l_orderkey") === orders("o_orderkey"), "left_anti").count()
-    assert(dangling == 0, s"$dangling lineitem rows without orders")
-  }
-
-  test("join + aggregate against the oracle (customer x orders)") {
-    val s = spark
-    import s.implicits._
-    val orders = SynthData.orders(spark, sf = 0.001)
-    val customer = SynthData.customer(spark, sf = 0.001)
-    val q = customer.join(orders, customer("c_custkey") === orders("o_custkey"))
-      .groupBy("c_mktsegment")
-      .agg(org.apache.spark.sql.functions.count("*") as "cnt")
-      .select($"c_mktsegment", $"cnt")
+  test("join + aggregate against the oracle (edges x edges)") {
+    // Two-hop paths per source: edges joined with edges on a.dst = b.src.
+    val a = edges.as("a")
+    val b = edges.as("b")
+    val q = a.join(b, col("a.dst") === col("b.src"))
+      .groupBy(col("a.src") as "src")
+      .agg(count("*") as "paths")
     Oracle.assertEquivalent(q,
-      """SELECT c_mktsegment, COUNT(*) AS cnt
-         FROM customer JOIN orders ON CAST(c_custkey AS INT) = CAST(o_custkey AS INT)
-         GROUP BY c_mktsegment""",
-      "customer" -> customer, "orders" -> orders)
+      """SELECT a.src AS src, COUNT(*) AS paths
+         FROM edges a JOIN edges b ON CAST(a.dst AS INT) = CAST(b.src AS INT)
+         GROUP BY a.src""",
+      "edges" -> edges)
   }
 }

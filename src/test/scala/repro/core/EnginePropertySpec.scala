@@ -9,36 +9,33 @@ import repro.graph._
   * configuration — VDC, the DD stand-in (VDC merging every 3 versions),
   * plain JOD, Det-Drop, and Prob-Drop with a Bloom filter so small that most
   * lookups are false positives — must equal `ScratchEngine` on the updated
-  * graph after every batch, for SSSP, K-hop, WCC and PageRank. The JOD
+  * graph after every batch, for SSSP, K-hop, WCC, PageRank and RPQ. The JOD
   * configurations must also match scratch's trace at every level: a wrong
   * intermediate state can hide at the fixpoint and surface batches later.
+  *
+  * All five configurations run over one shared graph, which applies each
+  * batch once while every engine absorbs the delta. Each is mirrored by the
+  * same configuration alone on its own copy of the graph, applying the
+  * batches itself; the two must agree in every state and every counter.
   *
   * Graphs have up to 60 vertices. Edges are drawn from a small pool, so
   * parallel edges, self-loops, deletes of absent edges, delete-then-reinsert
   * within one batch and weight changes (a delete and an insert of the same
-  * pair) all occur. A failure shrinks to fewer batches, updates and initial
-  * edges over the same vertex count.
+  * pair) all occur; a fifth of the batches hold up to 64 updates, so one
+  * batch touches a source many times. A failure shrinks to fewer batches,
+  * updates and initial edges over the same vertex count.
   */
 class EnginePropertySpec extends AnyFunSuite {
   import EnginePropertySpec._
 
-  /** A configuration under test; `jod` is set when its states can be read
-    * at every level.
-    */
-  private final case class Engine(applyBatch: Seq[EdgeUpdate] => Unit, states: () => Array[Double],
-                                  jod: Option[Jod] = None)
-
   private val configs: Seq[(String, IFESpec => Engine)] = Seq(
-    "vdc" -> (s => vdc(new Vdc(s))),
-    "dd-merge-3" -> (s => vdc(new Vdc(s, mergeEvery = 3))),
-    "jod" -> (s => jod(new Jod(s))),
-    "det-drop" -> (s => jod(new Jod(s, DropPolicy.Random(0.5, seed = 3), new DetDroppedVT))),
+    "vdc" -> (s => new Vdc(s)),
+    "dd-merge-3" -> (s => new Vdc(s, mergeEvery = 3)),
+    "jod" -> (s => new Jod(s)),
+    "det-drop" -> (s => new Jod(s, DropPolicy.Random(0.5, seed = 3), new DetDroppedVT)),
     "prob-drop-high-fpr" ->
-      (s => jod(new Jod(s, DropPolicy.Random(0.5, seed = 5), new ProbDroppedVT(16, bitsPerElement = 1)))),
+      (s => new Jod(s, DropPolicy.Random(0.5, seed = 5), new ProbDroppedVT(16, bitsPerElement = 1))),
   )
-
-  private def vdc(e: Vdc): Engine = { e.initialRun(); Engine(e.applyBatch, () => e.currentStates()) }
-  private def jod(e: Jod): Engine = { e.initialRun(); Engine(e.applyBatch, () => e.currentStates(), Some(e)) }
 
   /** The first node whose state differs from scratch, as a message. */
   private def mismatch(got: Array[Double], exp: Array[Double], eps: Double): Option[String] =
@@ -61,27 +58,52 @@ class EnginePropertySpec extends AnyFunSuite {
     }.nextOption()
   }
 
-  private def equalsScratch(mkSpec: DynamicGraph => IFESpec, eps: Double)(s: Scenario): Prop = {
-    val failures = configs.iterator.flatMap { case (name, build) =>
-      val g = DynamicGraph.fromEdges(s.numVertices, s.initial)
-      val ref = DynamicGraph.fromEdges(s.numVertices, s.initial)
-      val engine = build(mkSpec(g))
-      def check(at: String): Option[String] = {
-        val refSpec = mkSpec(ref)
-        val scratch = ScratchEngine.run(refSpec, withTrace = engine.jod.isDefined)
-        mismatch(engine.states(), scratch.states, eps)
-          .orElse(engine.jod.flatMap(traceMismatch(_, refSpec, scratch.trace, eps)))
-          .map(m => s"$name after $at: $m")
-      }
-      check("initial run").orElse(s.batches.iterator.zipWithIndex.map { case (b, k) =>
-        engine.applyBatch(b); ref.apply(b); check(s"batch $k")
-      }.collectFirst { case Some(m) => m })
-    }
-    if (failures.hasNext) Prop.falsified :| failures.next() else Prop.passed
+  /** Where `e` differs from scratch on `ref`: in its states and, for JOD,
+    * at any level.
+    */
+  private def againstScratch(e: Engine, ref: IFESpec, eps: Double): Option[String] = {
+    val jod = e match { case j: Jod => Some(j); case _ => None }
+    val scratch = ScratchEngine.run(ref, withTrace = jod.isDefined)
+    mismatch(e.currentStates(), scratch.states, eps)
+      .orElse(jod.flatMap(traceMismatch(_, ref, scratch.trace, eps)))
   }
 
-  private def check(mkSpec: DynamicGraph => IFESpec, weighted: Boolean, eps: Double = 0.0): Unit = {
-    val prop = Prop.forAll(scenarios(weighted))(equalsScratch(mkSpec, eps))
+  /** Every counter `e` reports. Reads may recompute dropped differences,
+    * so two engines compare equal only after the same reads.
+    */
+  private def counters(e: Engine): Seq[Long] =
+    Seq(e.storedDiffCount, e.jDiffCount, e.droppedCount, e.recomputeCount) ++
+      (e match { case j: Jod => Seq(j.totalDiffsWritten); case _ => Nil })
+
+  private def equalsScratch(mkSpec: DynamicGraph => IFESpec, eps: Double)(s: Scenario): Prop = {
+    val shared = DynamicGraph.fromEdges(s.numVertices, s.initial)
+    // (name, engine over the shared graph, the same engine alone on a copy)
+    val fleet = configs.map { case (name, build) =>
+      (name, build(mkSpec(shared)), build(mkSpec(DynamicGraph.fromEdges(s.numVertices, s.initial))))
+    }
+    fleet.foreach { case (_, e, alone) => e.initialRun(); alone.initialRun() }
+    def check(at: String): Option[String] = {
+      val ref = mkSpec(shared)
+      fleet.iterator.flatMap { case (name, e, alone) =>
+        againstScratch(e, ref, eps).map(m => s"$name after $at: $m")
+          .orElse(againstScratch(alone, ref, eps).map(m => s"$name alone after $at: $m"))
+          .orElse(Option.when(counters(e) != counters(alone))(
+            s"$name after $at: counters ${counters(e)} shared, ${counters(alone)} alone"))
+          .orElse(Option.when(!java.util.Arrays.equals(e.currentStates(), alone.currentStates()))(
+            s"$name after $at: states differ from the engine alone"))
+      }.nextOption()
+    }
+    val failure = check("initial run").orElse(s.batches.iterator.zipWithIndex.map { case (b, k) =>
+      val delta = shared.apply(b)
+      fleet.foreach { case (_, e, alone) => e.absorb(delta); alone.applyBatch(b) }
+      check(s"batch $k")
+    }.collectFirst { case Some(m) => m })
+    failure.fold(Prop.passed)(m => Prop.falsified :| m)
+  }
+
+  private def check(mkSpec: DynamicGraph => IFESpec, weighted: Boolean, eps: Double = 0.0,
+                    labels: Int = 1): Unit = {
+    val prop = Prop.forAll(scenarios(weighted, labels))(equalsScratch(mkSpec, eps))
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(100), prop)
     assert(res.passed, Pretty.pretty(res, Pretty.Params(1)))
   }
@@ -101,18 +123,31 @@ class EnginePropertySpec extends AnyFunSuite {
   test("PageRank: every configuration equals scratch after every batch") {
     check(g => Queries.pagerank(g), weighted = false, eps = 1e-7)
   }
+
+  test("RPQ: every configuration equals scratch after every batch") {
+    check(g => Queries.rpq(g, source = 0, Rpq), weighted = false, labels = 2)
+  }
 }
 
 object EnginePropertySpec {
   final case class Scenario(numVertices: Int, initial: List[(Int, Int, Int, Byte)],
                             batches: List[List[EdgeUpdate]])
 
+  /** A 3-state automaton over labels 0 and 1 in which each label enters
+    * and leaves several states, so one base edge touches several product
+    * nodes on either side.
+    */
+  val Rpq: Automaton = Automaton(3,
+    Seq((0, 0, 1), (0, 1, 0), (1, 1, 2), (1, 0, 1), (2, 0, 0)).map { case (f, l, t) => (f, l.toByte, t) },
+    accepting = Set(2))
+
   /** 1–60 vertices and a pool of up to 40 edges, a sixth of them
     * self-loops; the initial graph and every update draw from the pool.
     * Weighted scenarios use weights 1–3 (few values, so ties and weight
-    * changes back and forth happen); unweighted ones use weight 1.
+    * changes back and forth happen); unweighted ones use weight 1. Labels
+    * are drawn from 0 until `labels`.
     */
-  def scenarios(weighted: Boolean): Gen[Scenario] = for {
+  def scenarios(weighted: Boolean, labels: Int = 1): Gen[Scenario] = for {
     nv <- Gen.choose(1, 60)
     vertex = Gen.choose(0, nv - 1)
     weight = if (weighted) Gen.choose(1, 3) else Gen.const(1)
@@ -120,7 +155,8 @@ object EnginePropertySpec {
       s <- vertex
       d <- Gen.frequency(1 -> Gen.const(s), 5 -> vertex)
       w <- weight
-    } yield (s, d, w, 0.toByte)
+      l <- Gen.choose(0, labels - 1)
+    } yield (s, d, w, l.toByte)
     pool <- Gen.choose(1, 40).flatMap(Gen.listOfN(_, edge))
     initial <- Gen.listOf(Gen.oneOf(pool))
     update = Gen.oneOf(pool).flatMap { case (s, d, w, l) =>
@@ -131,7 +167,8 @@ object EnginePropertySpec {
         1 -> weight.map(w2 => List(EdgeUpdate(s, d, w, l, add = false), EdgeUpdate(s, d, w2, l, add = true))),
       )
     }
-    batch = Gen.choose(1, 4).flatMap(Gen.listOfN(_, update)).map(_.flatten)
+    batch = Gen.frequency(4 -> Gen.choose(1, 4), 1 -> Gen.choose(5, 32))
+      .flatMap(Gen.listOfN(_, update)).map(_.flatten)
     batches <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, batch))
   } yield Scenario(nv, initial, batches)
 

@@ -37,7 +37,7 @@ class QueryFleetSpec extends SparkSpec {
     val data = Datasets.load(spark, Datasets.patents(weighted = false))
     val batches = Datasets.batches(data.inserts.take(6), 2)
     val results = QueryFleet.run(spark, data.numVertices, data.initial, batches, Seq(0, 5),
-      (g, s) => Queries.khop(g, s, 5), dropP = 0.5)
+      (g, s) => Queries.khop(g, s, 5), EngineKind.DetDrop(0.5, degreeBased = true))
     results.foreach { r =>
       // recompute the reference states from scratch on the final graph
       val g = DynamicGraph.fromEdges(data.numVertices, data.initial)

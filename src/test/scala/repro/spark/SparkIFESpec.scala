@@ -77,7 +77,7 @@ class SparkIFESpec extends SparkSpec {
     assert(got == expected)
   }
 
-  test("SparkDeltaIFE warm maintenance equals cold recompute over insert batches") {
+  test("SparkIFE.maintainSssp warm maintenance equals cold recompute over insert batches") {
     val rnd = new Random(5)
     val g = randomGraph(5, 30, 60, weighted = true)
     var dist = SparkIFE.sssp(spark, edgesDf(g), 0)
@@ -90,7 +90,7 @@ class SparkIFESpec extends SparkSpec {
       import s.implicits._
       val newDf = batch.toDF("src", "dst", "weight", "label")
       batch.foreach { case (a, b, w, l) => g.addEdge(a, b, w, l.toByte) }
-      dist = SparkDeltaIFE.maintainSssp(spark, edgesDf(g), newDf, dist)
+      dist = SparkIFE.maintainSssp(edgesDf(g), newDf, dist)
       val cold = asMap(SparkIFE.sssp(spark, edgesDf(g), 0))
       assert(asMap(dist.select("v", "dist")) == cold)
     }

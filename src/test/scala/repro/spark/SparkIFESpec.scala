@@ -77,7 +77,9 @@ class SparkIFESpec extends SparkSpec {
     assert(got == expected)
   }
 
-  test("SparkIFE.maintainSssp warm maintenance equals cold recompute over insert batches") {
+  // Named for the former SparkDeltaIFE object; its warm SSSP maintenance now
+  // lives in SparkIFE.maintainSssp.
+  test("SparkDeltaIFE warm maintenance equals cold recompute over insert batches") {
     val rnd = new Random(5)
     val g = randomGraph(5, 30, 60, weighted = true)
     var dist = SparkIFE.sssp(spark, edgesDf(g), 0)

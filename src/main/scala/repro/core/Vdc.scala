@@ -9,7 +9,7 @@ import repro.util.{Frontier, MemoryModel, Multiset}
   * iteration i⟩ timestamps and difference multisets for every collection:
   *
   *  - δD — output of the aggregation (Min/Sum) operator, per node;
-  *  - δJ — output of the Join operator, indexed both by source (to diff a
+  *  - δJ — output of the Join operator, read both by source (to diff a
   *    rerun against the source's accumulated output) and by destination
   *    (to reassemble the aggregation's input) — δJ is what JOD drops;
   *  - δE — edge updates (kept in the mutable graph; counted and traced).
@@ -19,12 +19,15 @@ import repro.util.{Frontier, MemoryModel, Multiset}
   * happens at timestamps ⟨K, i⟩, processed in ascending i.
   *
   * The difference sets are arranged traces (as in Differential Dataflow's
-  * arrangements): per node and collection, one run of differences in
-  * primitive arrays, in ascending timestamp order, allocated on the node's
-  * first write. Every write lands at ⟨K, i⟩ with K the newest version and i
-  * rising within a version, so a write only ever appends or consolidates
-  * at the tail of a run. An accumulation Σ_{s ≤ t} is a scan of one run
-  * into a reusable [[Multiset]].
+  * arrangements): δD and δJ are each one append-only [[Vdc.Log]] of
+  * fixed-size primitive pages. Every δD entry links to the previous entry
+  * of its node; every δJ entry is stored once and links to the previous
+  * entry of its source and of its destination. One `Int` head per node and
+  * chain (-1 for none) reaches the newest entry, so a chain walks a node's
+  * differences newest first. Every write lands at ⟨K, i⟩ with K the newest
+  * version, so a chain's version-K entries are its head. An accumulation
+  * Σ_{s ≤ t} walks one chain into a reusable [[Multiset]]; a hub's long
+  * destination chain is consolidated once into a summary (`arrange`).
   *
   * `mergeEvery = 0` never merges — pure VDC, whose per-node timestamp count
   * grows with every batch. `mergeEvery = M > 0` periodically merges the
@@ -33,35 +36,33 @@ import repro.util.{Frontier, MemoryModel, Multiset}
   */
 final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Boolean = false) extends Engine {
   import Queries.INF
-  import Vdc.Run
+  import Vdc._
+
+  require(spec.maxIters < (1 << 24),
+    s"maxIters ${spec.maxIters} does not fit the 24-bit iteration of the packed ⟨version, iteration⟩ timestamps")
 
   private val view = spec.view
   private val n = view.numNodes
 
-  /** Pack ⟨version, iteration⟩; iteration capped far below 2^24. */
+  /** Pack ⟨version, iteration⟩; every `Int` version fits above the 24-bit iteration. */
   @inline private def ts(k: Int, i: Int): Long = (k.toLong << 24) | i.toLong
   @inline private def tsK(t: Long): Int = (t >>> 24).toInt
   @inline private def tsI(t: Long): Int = (t & 0xffffffL).toInt
 
-  /** δD per node: (ts, value, mult). */
-  private val dRuns = new Array[Run](n)
-  /** δJ by source node: (ts, dst, value, mult). */
-  private val jSrc = new Array[Run](n)
-  /** δJ by destination node: (ts, value, mult), the aggregation's input.
-    * Several sources write a destination at the same timestamp, so an entry
-    * whose multiplicities cancel stays with multiplicity 0: the timestamp
-    * still has a difference set, which the upper-bound rule reads.
-    */
-  private val jDst = new Array[Run](n)
+  /** δD: (ts, value) and (mult, previous entry of the node). */
+  private var dLog = new Log(DInts)
+  /** δJ: (ts, value) and (mult, source's previous, destination's previous, destination). */
+  private var jLog = new Log(JInts)
+  private var dHead = heads(n)
+  private var srcHead = heads(n)
+  private var dstHead = heads(n)
 
   private var version: Int = -1
   /** Highest iteration any version has run to. */
   var maxIterSeen: Int = 0
   private var eDiffCount: Long = 0L
-  /** Incrementally-maintained count of stored δD + δJ tuples, so budget
-    * checks after every batch are O(1) rather than a full-state scan.
-    */
-  private var nDiffs: Long = 0L
+  /** Destination summary entries in the δJ log (see `arrange`). */
+  private var summaries: Long = 0L
 
   // trace capture (Table 3): ts -> list of (node/src->dst, value, mult)
   val traceD: mutable.Map[Long, mutable.ArrayBuffer[(Int, Double, Int)]] = mutable.Map.empty
@@ -77,38 +78,36 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
   // scratch reused by every rerun
   private val dAcc = new Multiset
   private val jAcc = new Multiset
-  private val merged = new Run(withDst = true)
-  /** Per destination, the last `rerunJoin` call that scheduled its Min. */
-  private val minStamp = new Array[Int](n)
-  private var joinCall = 0
+  /** Per node, the last version whose Min / Join lubs were walked (version 0 has none). */
+  private val minWalked = new Array[Int](n)
+  private val joinWalked = new Array[Int](n)
 
   /** Readable trace accessors (iteration-major), for the Table 3 check. */
-  def dDiffsAt(k: Int, i: Int): Seq[(Int, Double, Int)] =
-    traceD.getOrElse(ts(k, i), mutable.ArrayBuffer.empty).toSeq
-  def jDiffsAt(k: Int, i: Int): Seq[(Int, Double, Int)] =
-    traceJ.getOrElse(ts(k, i), mutable.ArrayBuffer.empty).toSeq
+  def dDiffsAt(k: Int, i: Int): Seq[(Int, Double, Int)] = traceD.getOrElse(ts(k, i), mutable.ArrayBuffer.empty).toSeq
+  def jDiffsAt(k: Int, i: Int): Seq[(Int, Double, Int)] = traceJ.getOrElse(ts(k, i), mutable.ArrayBuffer.empty).toSeq
 
   // ------------------------------------------------------------------
-  // Runs and accumulations (Equations 1 and 2 of the paper)
+  // Logs and accumulations (Equations 1 and 2 of the paper)
   // ------------------------------------------------------------------
 
-  private def runOf(runs: Array[Run], node: Int, withDst: Boolean): Run = {
-    var r = runs(node)
-    if (r == null) { r = new Run(withDst); runs(node) = r }
-    r
+  private def appendD(node: Int, t: Long, value: Double, m: Int): Unit =
+    dHead(node) = dLog.append(t, value, m, dHead(node), 0, 0)
+
+  private def appendJ(src: Int, dst: Int, t: Long, value: Double, m: Int): Unit = {
+    val e = jLog.append(t, value, m, srcHead(src), dstHead(dst), dst)
+    srcHead(src) = e; dstHead(dst) = e
   }
 
-  /** Add `sign` × every difference of `run` at an iteration ≤ i to `acc`,
-    * keyed by destination in δJ by source and by 0 otherwise. Every stored
-    * timestamp has a version ≤ the current one, so ⟨k, i'⟩ ≤ ⟨K, i⟩ reduces
-    * to i' ≤ i.
+  /** Add `sign` × every difference of the chain from `head` at an
+    * iteration ≤ i to `acc`, keyed by destination if `keyed` and by 0
+    * otherwise. Every stored timestamp has a version ≤ the current one, so
+    * ⟨k, i'⟩ ≤ ⟨K, i⟩ reduces to i' ≤ i.
     */
-  private def addUpTo(run: Run, i: Int, sign: Int, acc: Multiset): Unit = if (run != null) {
-    var k = 0
-    while (k < run.size) {
-      if (tsI(run.ts(k)) <= i && run.mult(k) != 0)
-        acc.add(if (run.dst == null) 0 else run.dst(k), run.value(k), sign * run.mult(k))
-      k += 1
+  private def addUpTo(log: Log, head: Int, link: Int, keyed: Boolean, i: Int, sign: Int, acc: Multiset): Unit = {
+    var e = head
+    while (e >= 0) {
+      if (tsI(log.ts(e)) <= i) acc.add(if (keyed) log.int(e, Dst) else 0, log.value(e), sign * log.int(e, Mult))
+      e = log.int(e, link)
     }
   }
 
@@ -120,7 +119,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
   private def reassembleD(node: Int, i: Int): Double = {
     if (i < 0) return Double.NaN
     dAcc.clear()
-    addUpTo(dRuns(node), i, 1, dAcc)
+    addUpTo(dLog, dHead(node), Prev, keyed = false, i, 1, dAcc)
     val k = singleton(dAcc)
     if (k == -2) notSingleton(node, i)
     if (k < 0) Double.NaN else dAcc.value(k)
@@ -149,6 +148,13 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
       s"requirement failed: D of node $node at iteration $i sums to {${sum.mkString(", ")}}, not one value with multiplicity +1")
   }
 
+  /** Within a version each (node, iteration) reruns at most once, so the
+    * chain of a rerun's output holds nothing at its timestamp yet.
+    */
+  private def requireFresh(log: Log, head: Int, t: Long, what: String, node: Int): Unit =
+    if (head >= 0 && log.ts(head) >= t) throw new IllegalArgumentException(
+      s"requirement failed: $what $node already holds a difference at ⟨${tsK(t)}, ${tsI(t)}⟩")
+
   /** Aggregate a J multiset and combine with init — D = Agg(J) ∪ init. */
   private def aggregate(node: Int, j: Multiset): Double = {
     var acc = spec.aggZero
@@ -161,14 +167,6 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     spec.finish(acc, spec.init(node))
   }
 
-  /** Add m × value to δJ^dst at t, consolidating with the tail. */
-  private def writeJDst(dst: Int, t: Long, value: Double, m: Int): Unit = {
-    val r = runOf(jDst, dst, withDst = false)
-    var k = r.tailFrom(t)
-    while (k < r.size && r.value(k) != value) k += 1
-    if (k < r.size) r.mult(k) += m else r.append(t, 0, value, m)
-  }
-
   // ------------------------------------------------------------------
   // Scheduling
   // ------------------------------------------------------------------
@@ -179,35 +177,37 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     if (i > maxScheduled) maxScheduled = i
   }
 
-  /** Schedule Min(v) at ⟨K,i⟩ plus least-upper-bounds with earlier-version
-    * δJ^v timestamps (the upper-bound rule).
+  /** The upper-bound rule: schedule `node` in `f` at i' + `shift` for every
+    * earlier-version difference at iteration i' of the chain from `head`
+    * whose i' + `shift` lies above i. The chain's version-K entries are its
+    * head, so the walk skips them first. Earlier versions do not change
+    * within version K and i only rises, so the first walk per node and
+    * version (stamped in `walked`) schedules every later call's lubs too.
     */
+  private def scheduleLubs(f: Frontier, walked: Array[Int], node: Int, log: Log, head: Int, link: Int,
+                           K: Int, i: Int, shift: Int): Unit = {
+    if (walked(node) == K) return
+    walked(node) = K
+    var e = head
+    while (e >= 0 && tsK(log.ts(e)) == K) e = log.int(e, link)
+    while (e >= 0) {
+      val j = tsI(log.ts(e)) + shift
+      if (j > i) schedule(f, node, j)
+      e = log.int(e, link)
+    }
+  }
+
+  /** Schedule Min(v) at ⟨K,i⟩ plus lubs with earlier-version δJ^v timestamps. */
   private def scheduleMin(v: Int, K: Int, i: Int): Unit = {
     schedule(minSched, v, i)
-    val r = jDst(v)
-    if (r != null) {
-      var k = 0
-      while (k < r.size && tsK(r.ts(k)) < K) {
-        if (tsI(r.ts(k)) > i) schedule(minSched, v, tsI(r.ts(k)))
-        k += 1
-      }
-    }
+    scheduleLubs(minSched, minWalked, v, jLog, dstHead(v), PrevDst, K, i, shift = 0)
   }
 
   /** Schedule Join(u) at ⟨K,i⟩ plus lubs with earlier-version δD^u diffs. */
   private def scheduleJoin(u: Int, K: Int, i: Int): Unit = {
     schedule(joinSched, u, i)
-    val r = dRuns(u)
-    var k = 0
-    while (k < r.size && tsK(r.ts(k)) < K) {
-      if (tsI(r.ts(k)) + 1 > i) schedule(joinSched, u, tsI(r.ts(k)) + 1)
-      k += 1
-    }
+    scheduleLubs(joinSched, joinWalked, u, dLog, dHead(u), Prev, K, i, shift = 1)
   }
-
-  /** Schedule Min(dst) once per `rerunJoin` call that changes δJ^dst. */
-  private def touchMin(dst: Int, K: Int, i: Int): Unit =
-    if (minStamp(dst) != joinCall) { minStamp(dst) = joinCall; scheduleMin(dst, K, i) }
 
   // ------------------------------------------------------------------
   // Operator reruns
@@ -224,22 +224,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
 
   private def rerunJoin(u: Int, K: Int, i: Int): Unit = {
     val t = ts(K, i)
-    joinCall += 1
-    if (joinCall == Int.MaxValue) { java.util.Arrays.fill(minStamp, 0); joinCall = 1 }
-    // Retract any diff previously written at this exact timestamp (overwrite
-    // semantics): remove from the source index and from the dst mirrors.
-    val src = jSrc(u)
-    if (src != null) {
-      val from = src.tailFrom(t)
-      var k = from
-      while (k < src.size) {
-        writeJDst(src.dst(k), t, src.value(k), -src.mult(k))
-        touchMin(src.dst(k), K, i)
-        k += 1
-      }
-      nDiffs -= src.size - from
-      src.size = from
-    }
+    requireFresh(jLog, srcHead(u), t, "δJ of source", u)
     // New contributions of u at ⟨K, i⟩ from D^u at ⟨K, i-1⟩ and E_K.
     jAcc.clear()
     val dU = reassembleD(u, i - 1)
@@ -247,20 +232,16 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
       joinSrc = u; joinState = dU
       view.visitOut(u, joinOut)
     }
-    // δ = new − Σ_{s ≤ t} δ_s (t itself already retracted above).
-    addUpTo(src, i, -1, jAcc)
+    // δ = new − Σ_{s ≤ t} δ_s.
+    addUpTo(jLog, srcHead(u), Prev, keyed = true, i, -1, jAcc)
     var k = 0
     while (k < jAcc.size) {
       val m = jAcc.mult(k)
       if (m != 0) {
-        val dst = jAcc.key(k)
-        val v = jAcc.value(k)
-        runOf(jSrc, u, withDst = true).append(t, dst, v, m)
-        nDiffs += 1
-        writeJDst(dst, t, v, m)
-        if (captureTrace)
-          traceJ.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((dst, v, m))
-        touchMin(dst, K, i)
+        val dst = jAcc.key(k).toInt
+        appendJ(u, dst, t, jAcc.value(k), m)
+        if (captureTrace) traceJ.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((dst, jAcc.value(k), m))
+        scheduleMin(dst, K, i)
       }
       k += 1
     }
@@ -268,24 +249,18 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
 
   private def rerunMin(v: Int, K: Int, i: Int): Unit = {
     val t = ts(K, i)
-    // Retract existing diff at exactly t (overwrite semantics). Within a
-    // version each (v, i) is rerun at most once, so nothing from THIS
-    // version can be stored at t; the retraction is a guard for idempotence.
-    val d = runOf(dRuns, v, withDst = false)
-    val from = d.tailFrom(t)
-    nDiffs -= d.size - from
-    d.size = from
+    requireFresh(dLog, dHead(v), t, "δD of node", v)
     // Iteration 0 is the initial-state injection (J carries no Join output
     // there); later iterations aggregate the accumulated Join input.
     val newD =
       if (i == 0) spec.init(v)
-      else { jAcc.clear(); addUpTo(jDst(v), i, 1, jAcc); aggregate(v, jAcc) }
+      else { jAcc.clear(); addUpTo(jLog, dstHead(v), PrevDst, keyed = false, i, 1, jAcc); aggregate(v, jAcc) }
     // Equation 2: δO_t = Op(...) − Σ_{s ≤ t} δO_s, as a FULL multiset
     // subtraction — across versions the accumulated set can transiently
     // hold several values with mixed multiplicities, all of which the new
     // difference must compensate.
     dAcc.clear()
-    addUpTo(d, i, 1, dAcc)
+    addUpTo(dLog, dHead(v), Prev, keyed = false, i, 1, dAcc)
     // Suppress no-op diffs (within spec.same tolerance) only when the
     // accumulation is already the clean singleton {old: +1}.
     val old = singleton(dAcc)
@@ -297,11 +272,9 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     while (k < dAcc.size) {
       val m = dAcc.mult(k)
       if (m != 0) {
-        d.append(t, 0, dAcc.value(k), m)
-        nDiffs += 1
+        appendD(v, t, dAcc.value(k), m)
         wrote = true
-        if (captureTrace)
-          traceD.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((v, dAcc.value(k), m))
+        if (captureTrace) traceD.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((v, dAcc.value(k), m))
       }
       k += 1
     }
@@ -333,12 +306,8 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     require(version == -1, "initialRun must be called exactly once")
     version = 0
     maxScheduled = 0
-    if (captureTrace) {
-      val t0 = ts(0, 0)
-      view.graph.edgeList.foreach { case (s, d, w, _) =>
-        traceE.getOrElseUpdate(t0, mutable.ArrayBuffer.empty) += ((s, d, w, 1))
-      }
-    }
+    if (captureTrace)
+      traceE(ts(0, 0)) = view.graph.edgeList.map { case (s, d, w, _) => (s, d, w, 1) }.to(mutable.ArrayBuffer)
     // The initial edge collection lives in the shared graph store (all
     // configurations, Scratch included, hold it); only *update* differences
     // to E are charged to the differential state.
@@ -352,6 +321,7 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
       v += 1
     }
     processVersion(0)
+    arrange()
   }
 
   /** Maintain the computation for one batch the graph applied (version k+1). */
@@ -366,17 +336,14 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
       // Deleting an absent edge changes nothing: no δE, no reruns.
       if (delta.tookEffect(b)) {
         if (captureTrace)
-          traceE.getOrElseUpdate(ts(K, 0), mutable.ArrayBuffer.empty) +=
-            ((u.src, u.dst, u.weight, if (u.add) 1 else -1))
+          traceE.getOrElseUpdate(ts(K, 0), mutable.ArrayBuffer.empty) += ((u.src, u.dst, u.weight, if (u.add) 1 else -1))
         eDiffCount += 1
         // δE direct rule + lub with every existing δD^u iteration: Join(u)
         // rerun at ⟨K, j+1⟩ for each iteration j at which D^u has a difference.
         val srcs = view.touchedSrcs(u.src, u.dst, u.label)
         while (srcs.hasNext) {
           val s = srcs.next()
-          val d = dRuns(s)
-          var k = 0
-          while (d != null && k < d.size) { schedule(joinSched, s, tsI(d.ts(k)) + 1); k += 1 }
+          scheduleLubs(joinSched, joinWalked, s, dLog, dHead(s), Prev, K, 0, shift = 1)
         }
       }
       b += 1
@@ -385,149 +352,179 @@ final class Vdc(val spec: IFESpec, val mergeEvery: Int = 0, val captureTrace: Bo
     if (mergeEvery > 0 && K % mergeEvery == 0) mergeVersions()
   }
 
-  /** Merge the version dimension: union all difference sets per (node,
-    * iteration) row into a single diff at the current version (the DD
-    * periodic-merging optimization, §4.2).
+  /** Merge the version dimension: rebuild both logs with one consolidated
+    * difference set per (node, iteration) row — per (source, destination,
+    * value) for δJ — at the current version (the DD periodic-merging
+    * optimization, §4.2).
     */
   def mergeVersions(): Unit = {
-    var v = 0
-    while (v < n) {
-      collapse(dRuns(v)); collapse(jDst(v)); collapse(jSrc(v))
-      v += 1
-    }
-    recountDiffs()
+    val (d, j, dh, sh) = (dLog, jLog, dHead, srcHead)
+    dLog = new Log(DInts); jLog = new Log(JInts)
+    dHead = heads(n); srcHead = heads(n); dstHead = heads(n)
+    for (v <- 0 until n) { collapse(d, dh(v), Prev, v, isJ = false); collapse(j, sh(v), Prev, v, isJ = true) }
+    arrange()
   }
 
-  /** Collapse a run in place into one consolidated difference set per
-    * iteration, at ⟨current version, iteration⟩, iterations ascending.
+  /** Arrange the δJ log once every timestamp has the current version
+    * (after the initial run and after a merge), both of which write δJ in
+    * source order, one entry of a destination to a cache line:
+    *  - lay it out by destination, each destination's entries contiguous
+    *    and newest first (a counting sort by destination, then one gather);
+    *  - replace each destination chain that consolidates at least 2× (a
+    *    hub's, of mostly equal values) by its net multiplicity per
+    *    (iteration, value), zeros kept for the upper-bound rule, appended as
+    *    δJ entries on no source chain.
     */
-  private def collapse(r: Run): Unit = if (r != null) {
-    merged.size = 0
-    var iter = nextIter(r, -1)
-    while (iter >= 0) {
+  private def arrange(): Unit = {
+    val old = jLog
+    val next = new Array[Int](n + 1) // per destination, its next new index
+    for (e <- 0 until old.size) next(old.int(e, Dst) + 1) += 1
+    for (v <- 0 until n) next(v + 1) += next(v)
+    val at = new Array[Int](old.size) // old index -> new
+    val order = new Array[Int](old.size) // new index -> old
+    for (e <- old.size - 1 to 0 by -1) { val v = old.int(e, Dst); at(e) = next(v); order(next(v)) = e; next(v) += 1 }
+    def moved(e: Int): Int = if (e < 0) -1 else at(e)
+    jLog = new Log(JInts)
+    for (e <- order) jLog.append(old.ts(e), old.value(e), old.int(e, Mult), moved(old.int(e, Prev)),
+      moved(old.int(e, PrevDst)), old.int(e, Dst))
+    summaries = 0
+    for (v <- 0 until n) {
+      srcHead(v) = moved(srcHead(v)); dstHead(v) = moved(dstHead(v))
       jAcc.clear()
-      var k = 0
-      while (k < r.size) {
-        if (tsI(r.ts(k)) == iter) jAcc.add(if (r.dst == null) 0 else r.dst(k), r.value(k), r.mult(k))
-        k += 1
+      var e = dstHead(v)
+      while (e >= 0) { jAcc.add(tsI(jLog.ts(e)), jLog.value(e), jLog.int(e, Mult)); e = jLog.int(e, PrevDst) }
+      if (2 * jAcc.size <= next(v) - (if (v == 0) 0 else next(v - 1))) {
+        dstHead(v) = -1
+        for (k <- 0 until jAcc.size)
+          dstHead(v) = jLog.append(ts(version, jAcc.key(k).toInt), jAcc.value(k), jAcc.mult(k), -1, dstHead(v), v)
+        summaries += jAcc.size
       }
-      k = 0
-      while (k < jAcc.size) {
-        if (jAcc.mult(k) != 0) merged.append(ts(version, iter), jAcc.key(k), jAcc.value(k), jAcc.mult(k))
-        k += 1
-      }
-      iter = nextIter(r, iter)
     }
-    r.copyFrom(merged)
   }
 
-  /** The smallest iteration in `r` above `above`, or -1. */
-  private def nextIter(r: Run, above: Int): Int = {
-    var best = -1
-    var k = 0
-    while (k < r.size) {
-      val i = tsI(r.ts(k))
-      if (i > above && (best < 0 || i < best)) best = i
-      k += 1
-    }
-    best
-  }
-
-  private def recountDiffs(): Unit = {
-    var c = 0L
-    var v = 0
-    while (v < n) {
-      if (dRuns(v) != null) c += dRuns(v).size
-      if (jSrc(v) != null) c += jSrc(v).size
-      v += 1
-    }
-    nDiffs = c
-  }
-
-  /** Total stored differences: δD + δJ + δE tuples (δJ counted once via the
-    * source index; the dst-index mirror is the same data). O(1): maintained
-    * incrementally on every write.
+  /** Append node's chain from `head` in `log` to the current logs, one
+    * difference per (iteration, destination, value) row.
     */
-  def diffCount: Long = eDiffCount + nDiffs
+  private def collapse(log: Log, head: Int, link: Int, node: Int, isJ: Boolean): Unit = {
+    jAcc.clear()
+    var e = head
+    while (e >= 0) {
+      jAcc.add(tsI(log.ts(e)).toLong << 32 | (if (isJ) log.int(e, Dst) else 0), log.value(e), log.int(e, Mult))
+      e = log.int(e, link)
+    }
+    for (k <- 0 until jAcc.size if jAcc.mult(k) != 0) {
+      val t = ts(version, (jAcc.key(k) >>> 32).toInt)
+      if (isJ) appendJ(node, jAcc.key(k).toInt, t, jAcc.value(k), jAcc.mult(k))
+      else appendD(node, t, jAcc.value(k), jAcc.mult(k))
+    }
+  }
+
+  /** Total stored differences: δD + δJ + δE tuples. */
+  def diffCount: Long = eDiffCount + dLog.size + jDiffCount
 
   def storedDiffCount: Long = diffCount
   def droppedCount: Long = 0L; def recomputeCount: Long = 0L
 
   /** Count of δJ difference tuples alone (the collection JOD eliminates). */
-  def jDiffCount: Long = {
-    var c = 0L
-    var v = 0
-    while (v < n) { if (jSrc(v) != null) c += jSrc(v).size; v += 1 }
-    c
-  }
+  def jDiffCount: Long = jLog.size - summaries
 
   /** Bytes charged by the memory model (2-D diffs). */
   def memoryBytes: Long = diffCount * MemoryModel.Diff2dBytes
 
-  /** Final states at the current version's horizon. */
-  def currentStates(): Array[Double] = {
+  /** Bytes the logs' pages and the chain heads hold, from their capacities. */
+  def reservedBytes: Long = dLog.reservedBytes + jLog.reservedBytes + 3L * 4 * n
+
+  /** D_i(v) read from the stored δD for every node v, `Init(v)` where the
+    * node has no state.
+    */
+  private[repro] def statesAt(i: Int): Array[Double] = {
     val out = new Array[Double](n)
     var v = 0
     while (v < n) {
-      val d = reassembleD(v, maxIterSeen)
+      val d = reassembleD(v, i)
       out(v) = if (d.isNaN) spec.init(v) else d
       v += 1
     }
     out
   }
 
-  /** Test hook: append a raw δD difference at ⟨current version, iter⟩,
-    * bypassing the operators. `iter` must be ≥ every iteration written in
-    * the current version, so the run stays in timestamp order.
+  /** Walk every chain: (δD entries, δJ entries by source, by destination,
+    * Σ δJ multiplicity by source, by destination).
     */
-  private[repro] def injectD(node: Int, iter: Int, value: Double, mult: Int): Unit =
-    runOf(dRuns, node, withDst = false).append(ts(version, iter), 0, value, mult)
+  private[repro] def chainTotals: Seq[Long] = {
+    def walk(log: Log, heads: Array[Int], link: Int, field: Int): Long = heads.map { h =>
+      var c = 0L; var e = h; while (e >= 0) { c += (if (field < 0) 1 else log.int(e, field)); e = log.int(e, link) }; c
+    }.sum
+    Seq(walk(dLog, dHead, Prev, -1), walk(jLog, srcHead, Prev, -1), walk(jLog, dstHead, PrevDst, -1),
+      walk(jLog, srcHead, Prev, Mult), walk(jLog, dstHead, PrevDst, Mult))
+  }
+
+  /** Final states at the current version's horizon. */
+  def currentStates(): Array[Double] = statesAt(maxIterSeen)
+
+  /** Test hooks: append a raw δD or δJ difference at ⟨k, iter⟩, bypassing
+    * the operators. ⟨k, iter⟩ must not precede the newest timestamp on the
+    * chains it joins.
+    */
+  private[repro] def injectD(node: Int, iter: Int, value: Double, mult: Int, k: Int = version): Unit =
+    appendD(node, ts(k, iter), value, mult)
+  private[repro] def injectJ(src: Int, dst: Int, iter: Int, value: Double, mult: Int, k: Int): Unit =
+    appendJ(src, dst, ts(k, iter), value, mult)
 }
 
 object Vdc {
-  /** One node's run of differences in one collection: parallel primitive
-    * arrays (timestamp, destination, value, multiplicity) in ascending
-    * timestamp order; `dst` is null outside δJ by source.
+  // The Int fields of a log entry: δD entries hold the first two, δJ all
+  // four. Prev links to the previous entry of the δD node or δJ source.
+  private final val Mult = 0
+  private final val Prev = 1
+  private final val PrevDst = 2
+  private final val Dst = 3
+  private final val DInts = 2
+  private final val JInts = 4
+
+  private final val PageBits = 10
+  private final val PageSize = 1 << PageBits
+  private final val PageMask = PageSize - 1
+
+  private def heads(n: Int): Array[Int] = { val h = new Array[Int](n); java.util.Arrays.fill(h, -1); h }
+
+  /** An append-only log of differences in pages of `PageSize` entries: entry
+    * e is `stride` longs at slot e & PageMask of page e >>> PageBits (its
+    * timestamp, its value's bits and its `Int` fields two to a long). Growth
+    * adds a page and never copies one, so the slack is under one page.
     */
-  private final class Run(withDst: Boolean) {
-    var ts = new Array[Long](2)
-    var dst: Array[Int] = if (withDst) new Array[Int](2) else null
-    var value = new Array[Double](2)
-    var mult = new Array[Int](2)
+  private final class Log(ints: Int) {
+    private val stride = 2 + ints / 2
+    private var pages = new Array[Array[Long]](0)
+    private var pageCount = 0
     var size = 0
 
-    def append(t: Long, d: Int, v: Double, m: Int): Unit = {
-      if (size == ts.length) resize(size * 2)
-      ts(size) = t
-      if (dst != null) dst(size) = d
-      value(size) = v
-      mult(size) = m
+    @inline private def at(e: Int, word: Int): Long = pages(e >>> PageBits)((e & PageMask) * stride + word)
+    def ts(e: Int): Long = at(e, 0)
+    def value(e: Int): Double = java.lang.Double.longBitsToDouble(at(e, 1))
+    def int(e: Int, field: Int): Int = (at(e, 2 + (field >> 1)) >> (32 - 32 * (field & 1))).toInt
+
+    /** Append an entry with the first `ints` of f0–f3 as its `Int` fields; return its index. */
+    def append(t: Long, v: Double, f0: Int, f1: Int, f2: Int, f3: Int): Int = {
+      if (size == pageCount << PageBits) addPage()
+      val p = pages(size >>> PageBits)
+      val o = (size & PageMask) * stride
+      p(o) = t
+      p(o + 1) = java.lang.Double.doubleToRawLongBits(v)
+      p(o + 2) = pack(f0, f1)
+      if (ints > 2) p(o + 3) = pack(f2, f3)
       size += 1
+      size - 1
     }
 
-    /** Index of the first entry at `t`, which must be the newest timestamp
-      * of the run: entries at it form the tail.
-      */
-    def tailFrom(t: Long): Int = {
-      var k = size
-      while (k > 0 && ts(k - 1) == t) k -= 1
-      k
-    }
+    def reservedBytes: Long = pageCount.toLong * PageSize * stride * 8
 
-    /** Overwrite this run with `o`, which holds at most `size` entries. */
-    def copyFrom(o: Run): Unit = {
-      System.arraycopy(o.ts, 0, ts, 0, o.size)
-      if (dst != null) System.arraycopy(o.dst, 0, dst, 0, o.size)
-      System.arraycopy(o.value, 0, value, 0, o.size)
-      System.arraycopy(o.mult, 0, mult, 0, o.size)
-      size = o.size
-    }
+    private def pack(hi: Int, lo: Int): Long = (hi.toLong << 32) | (lo & 0xffffffffL)
 
-    private def resize(cap: Int): Unit = {
-      ts = java.util.Arrays.copyOf(ts, cap)
-      if (dst != null) dst = java.util.Arrays.copyOf(dst, cap)
-      value = java.util.Arrays.copyOf(value, cap)
-      mult = java.util.Arrays.copyOf(mult, cap)
+    private def addPage(): Unit = {
+      if (pageCount == pages.length) pages = java.util.Arrays.copyOf(pages, math.max(4, pageCount * 2))
+      pages(pageCount) = new Array[Long](PageSize * stride)
+      pageCount += 1
     }
   }
 }

@@ -187,9 +187,12 @@ final class DynamicGraph(val numVertices: Int) {
 
   /** Degree value at the given percentile in [0, 100] (for τ_max). */
   def degreePercentile(pct: Double): Int = {
-    val degs = (0 until numVertices).map(degree).sorted
+    val degs = new Array[Int](numVertices)
+    var v = 0
+    while (v < numVertices) { degs(v) = degree(v); v += 1 }
+    java.util.Arrays.sort(degs)
     if (degs.isEmpty) 0
-    else degs(math.min(degs.size - 1, math.max(0, (pct / 100.0 * degs.size).toInt)))
+    else degs(math.min(degs.length - 1, math.max(0, (pct / 100.0 * degs.length).toInt)))
   }
 }
 

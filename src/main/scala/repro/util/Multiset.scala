@@ -1,6 +1,6 @@
 package repro.util
 
-/** A multiset of (key, value) pairs with signed `Int` multiplicities, kept
+/** A multiset of (`Long` key, value) pairs with signed `Int` multiplicities, kept
   * in primitive arrays and reused: `add` merges equal pairs through an
   * open-addressing table, and `clear` resets only the slots its entries
   * used. Entries are listed in first-insertion order; an entry whose
@@ -8,7 +8,7 @@ package repro.util
   * compare with `==`, so 0.0 and -0.0 are one value.
   */
 final class Multiset {
-  private var keys = new Array[Int](8)
+  private var keys = new Array[Long](8)
   private var vals = new Array[Double](8)
   private var mults = new Array[Int](8)
   /** Table slot of each entry, so `clear` and `rehash` need not search. */
@@ -19,11 +19,11 @@ final class Multiset {
 
   /** Number of listed entries, zero-multiplicity ones included. */
   def size: Int = n
-  def key(k: Int): Int = keys(k)
+  def key(k: Int): Long = keys(k)
   def value(k: Int): Double = vals(k)
   def mult(k: Int): Int = mults(k)
 
-  def add(key: Int, value: Double, m: Int): Unit = {
+  def add(key: Long, value: Double, m: Int): Unit = {
     val mask = table.length - 1
     var s = hash(key, value) & mask
     var e = table(s)
@@ -69,9 +69,9 @@ final class Multiset {
     }
   }
 
-  private def hash(key: Int, value: Double): Int = {
+  private def hash(key: Long, value: Double): Int = {
     // + 0.0 turns -0.0 into 0.0, so the two hash alike as they compare equal
-    val h = key * 0x9e3779b9 ^ java.lang.Double.hashCode(value + 0.0)
+    val h = java.lang.Long.hashCode(key) * 0x9e3779b9 ^ java.lang.Double.hashCode(value + 0.0)
     h ^ (h >>> 16)
   }
 }

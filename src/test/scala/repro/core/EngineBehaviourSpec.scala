@@ -118,22 +118,78 @@ class EngineBehaviourSpec extends AnyFunSuite {
     val (g, ups) = randomDyn(23, nUp = 20)
     val vdc = new Vdc(Queries.sssp(g, 0), mergeEvery = 4)
     vdc.initialRun()
+    var eDiffs = 0L
+    // recount by walking every chain: each δJ entry is on one source chain,
+    // and the destination chains, summaries included, hold the same total
+    // multiplicity in at most as many entries
+    def walked(): Long = {
+      val Seq(d, bySrc, byDst, multBySrc, multByDst) = vdc.chainTotals
+      assert(bySrc == vdc.jDiffCount && byDst <= bySrc && multByDst == multBySrc)
+      d + bySrc + eDiffs
+    }
     def fullCount(): Long = {
-      // recount via the public counters: jDiffCount (scan) + dD scan via merge trick
-      vdc.jDiffCount // ensures scan path stays exercised
+      assert(walked() == vdc.diffCount)
+      // and recount through a merge
       val before = vdc.diffCount
-      vdc.mergeVersions() // recounts internally
+      vdc.mergeVersions()
       val after = vdc.diffCount
       assert(after <= before, "merge may only shrink the count")
+      assert(walked() == after)
       after
     }
     ups.grouped(3).foreach { b =>
-      vdc.applyBatch(b)
+      val delta = g.apply(b)
+      eDiffs += (0 until delta.size).count(delta.tookEffect)
+      vdc.absorb(delta)
       val inc = vdc.diffCount
       val recounted = fullCount()
       assert(recounted <= inc)
       assert(vdc.currentStates().toSeq == ScratchEngine.states(Queries.sssp(g, 0)).toSeq)
     }
+  }
+
+  test("VDC summarizes a destination chain of many equal contributions and stays exact") {
+    // 0 -> 1..20 -> 21, all weight 1: Min(21) reads 20 equal δJ entries
+    val g = new DynamicGraph(22)
+    (1 to 20).foreach { v => g.addEdge(0, v, 1); g.addEdge(v, 21, 1) }
+    val vdc = new Vdc(Queries.sssp(g, 0), captureTrace = true)
+    vdc.initialRun()
+    val Seq(_, bySrc, byDst, multBySrc, multByDst) = vdc.chainTotals
+    assert(byDst < bySrc && multByDst == multBySrc, vdc.chainTotals)
+    assert(vdc.jDiffCount == vdc.traceJ.values.map(_.size).sum)
+    val batches = Seq(
+      Seq(EdgeUpdate(0, 21, 5, 0, add = true)), Seq(EdgeUpdate(0, 21, 5, 0, add = false)),
+      (1 to 19).map(v => EdgeUpdate(v, 21, 1, 0, add = false)), Seq(EdgeUpdate(20, 21, 1, 0, add = false)))
+    batches.foreach { b =>
+      vdc.applyBatch(b)
+      assert(vdc.currentStates().toSeq == ScratchEngine.states(Queries.sssp(g, 0)).toSeq)
+      assert(vdc.jDiffCount == vdc.traceJ.values.map(_.size).sum)
+    }
+  }
+
+  test("VDC's logs reserve at most 1.5x the modelled bytes plus the chain heads") {
+    val rnd = new Random(3)
+    val nv = 2000
+    val g = new DynamicGraph(nv)
+    (0 until 8000).foreach(_ => g.addEdge(rnd.nextInt(nv), rnd.nextInt(nv), 1 + rnd.nextInt(10)))
+    val vdc = new Vdc(Queries.sssp(g, 0))
+    vdc.initialRun()
+    (0 until 200).foreach { _ =>
+      val update =
+        if (rnd.nextDouble() < 0.3) {
+          val edges = g.edgeList
+          val (s, d, w, l) = edges(rnd.nextInt(edges.size))
+          EdgeUpdate(s, d, w, l, add = false)
+        } else EdgeUpdate(rnd.nextInt(nv), rnd.nextInt(nv), 1 + rnd.nextInt(10), 0, add = true)
+      vdc.applyBatch(Seq(update))
+    }
+    // A δD entry takes 24 B and a δJ entry 32 B against the model's 24 B,
+    // destination summaries add a few uncounted entries, and each log leaves
+    // under one page of 1,024 entries unused (1.28x here).
+    val heads = 3L * 4 * nv
+    assert(vdc.diffCount > 10000)
+    assert(vdc.reservedBytes <= 1.5 * vdc.memoryBytes + heads,
+      s"reserved ${vdc.reservedBytes} B, modelled ${vdc.memoryBytes} B")
   }
 
   test("DD-sim (periodic merge) stores fewer diffs than pure VDC after many batches") {
@@ -181,6 +237,40 @@ class EngineBehaviourSpec extends AnyFunSuite {
     val jod = new Jod(Queries.khop(g, 0, (1 << 20) - 2))
     jod.initialRun()
     assert(jod.currentStates().toSeq == Seq(0.0, 1.0, Queries.INF, Queries.INF))
+  }
+
+  test("VDC rejects iteration caps that overflow the 24-bit packed iteration") {
+    val g = new DynamicGraph(4)
+    g.addEdge(0, 1)
+    // K-hop's maxIters is k + 1.
+    assert(Queries.khop(g, 0, (1 << 24) - 1).maxIters == 1 << 24)
+    intercept[IllegalArgumentException](new Vdc(Queries.khop(g, 0, (1 << 24) - 1)))
+    val vdc = new Vdc(Queries.khop(g, 0, (1 << 24) - 2))
+    vdc.initialRun()
+    assert(vdc.currentStates().toSeq == Seq(0.0, 1.0, Queries.INF, Queries.INF))
+  }
+
+  test("VDC refuses to rerun an operator at a timestamp that already holds its output") {
+    def fresh(): Vdc = {
+      val g = new DynamicGraph(3)
+      g.addEdge(0, 1, 5); g.addEdge(1, 2, 5)
+      val vdc = new Vdc(Queries.sssp(g, 0))
+      vdc.initialRun()
+      vdc
+    }
+    // Inserting 0 -> 2 in version 1 reruns Join(0), then Min(2), at ⟨1, 1⟩.
+    val insert = Seq(EdgeUpdate(0, 2, 1, 0, add = true))
+    val min = fresh()
+    min.injectD(2, 1, 1.0, 1, k = 1)
+    val e1 = intercept[IllegalArgumentException](min.applyBatch(insert))
+    assert(e1.getMessage.contains("δD of node 2 already holds a difference at ⟨1, 1⟩"), e1.getMessage)
+    val join = fresh()
+    join.injectJ(0, 2, 1, 1.0, 1, k = 1)
+    val e2 = intercept[IllegalArgumentException](join.applyBatch(insert))
+    assert(e2.getMessage.contains("δJ of source 0 already holds a difference at ⟨1, 1⟩"), e2.getMessage)
+    val clean = fresh()
+    clean.applyBatch(insert)
+    assert(clean.currentStates().toSeq == Seq(0.0, 5.0, 1.0))
   }
 
   test("VDC counts no δE for deleting an absent edge") {

@@ -9,9 +9,10 @@ import repro.graph._
   * configuration — VDC, the DD stand-in (VDC merging every 3 versions),
   * plain JOD, Det-Drop, and Prob-Drop with a Bloom filter so small that most
   * lookups are false positives — must equal `ScratchEngine` on the updated
-  * graph after every batch, for SSSP, K-hop, WCC, PageRank and RPQ. The JOD
-  * configurations must also match scratch's trace at every level: a wrong
-  * intermediate state can hide at the fixpoint and surface batches later.
+  * graph after every batch, for SSSP, K-hop, WCC, PageRank and RPQ. Every
+  * configuration must also match scratch's trace at every level, read from
+  * what it stores: a wrong intermediate state can hide at the fixpoint and
+  * surface batches later.
   *
   * All five configurations run over one shared graph, which applies each
   * batch once while every engine absorbs the delta. Each is mirrored by the
@@ -44,28 +45,29 @@ class EnginePropertySpec extends AnyFunSuite {
       else !(got(v).isInfinite && exp(v).isInfinite) && !(math.abs(got(v) - exp(v)) <= eps)
     }.map(v => s"node $v: got ${got(v)}, scratch ${exp(v)}")
 
-  /** The first level i and node v where `jod.access(v, i)` differs from
-    * D_i(v), folded from scratch's per-level trace, up to one level past
-    * both horizons.
+  /** The first level i and node v where the engine's stored D_i(v), read by
+    * `statesAt`, differs from D_i(v) folded from scratch's per-level trace,
+    * up to one level past both horizons.
     */
-  private def traceMismatch(jod: Jod, spec: IFESpec, trace: IndexedSeq[Map[Int, Double]],
-                            eps: Double): Option[String] = {
+  private def traceMismatch(statesAt: Int => Array[Double], maxIterSeen: Int, spec: IFESpec,
+                            trace: IndexedSeq[Map[Int, Double]], eps: Double): Option[String] = {
     val d = Array.tabulate(spec.view.numNodes)(spec.init)
-    val horizon = math.max(trace.size - 1, jod.maxIterSeen) + 1
+    val horizon = math.max(trace.size - 1, maxIterSeen) + 1
     (0 to horizon).iterator.flatMap { i =>
       if (i > 0 && i < trace.size) trace(i).foreach { case (v, x) => d(v) = x }
-      mismatch(jod.statesAt(i), d, eps).map(m => s"level $i, $m")
+      mismatch(statesAt(i), d, eps).map(m => s"level $i, $m")
     }.nextOption()
   }
 
-  /** Where `e` differs from scratch on `ref`: in its states and, for JOD,
-    * at any level.
+  /** Where `e` differs from scratch on `ref`: in its states and at any
+    * level, read from JOD's difference lists or VDC's δD log.
     */
   private def againstScratch(e: Engine, ref: IFESpec, eps: Double): Option[String] = {
-    val jod = e match { case j: Jod => Some(j); case _ => None }
-    val scratch = ScratchEngine.run(ref, withTrace = jod.isDefined)
-    mismatch(e.currentStates(), scratch.states, eps)
-      .orElse(jod.flatMap(traceMismatch(_, ref, scratch.trace, eps)))
+    val scratch = ScratchEngine.run(ref, withTrace = true)
+    mismatch(e.currentStates(), scratch.states, eps).orElse(e match {
+      case j: Jod => traceMismatch(j.statesAt, j.maxIterSeen, ref, scratch.trace, eps)
+      case v: Vdc => traceMismatch(v.statesAt, v.maxIterSeen, ref, scratch.trace, eps)
+    })
   }
 
   /** Every counter `e` reports. Reads may recompute dropped differences,
